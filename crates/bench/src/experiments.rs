@@ -318,7 +318,7 @@ pub fn e08_overflow_checks() -> Table {
     let mut t = Table::new(
         "E8: overflow-check policies (segmented)",
         "explicit checks are one register compare per call; leaves and tail loops \
-         never check; static elision removes more (Fig 8, §5)",
+         never check (Fig 8, §5)",
         &["workload", "policy", "time", "checks executed", "checks elided"],
     );
     // `Never` is only sound when the segment outruns the recursion.
@@ -330,17 +330,15 @@ pub fn e08_overflow_checks() -> Table {
         ("leaf-heavy sort 600", w::sort(600)),
         ("lcg-let-loop 300k", w::lcg_let_loop(300_000)),
     ] {
-        for (label, policy, stable) in [
-            ("always", CheckPolicy::Always, false),
-            ("elide", CheckPolicy::Elide, false),
-            ("elide+stable", CheckPolicy::Elide, true),
-            ("never", CheckPolicy::Never, false),
+        for (label, policy) in [
+            ("always", CheckPolicy::Always),
+            ("elide", CheckPolicy::Elide),
+            ("never", CheckPolicy::Never),
         ] {
             let mut e = Engine::builder()
                 .strategy(Strategy::Segmented)
                 .config(big.clone())
                 .check_policy(policy)
-                .stable_primitive_bindings(stable)
                 .build()
                 .expect("engine construction");
             let r = measure(&mut e, "", &src);
@@ -356,11 +354,6 @@ pub fn e08_overflow_checks() -> Table {
     t.note(
         "primitive applications never push frames, so they are check-free leaf \
             calls by construction; tail calls never check in any policy",
-    );
-    t.note(
-        "elide+stable adds the stable-primitive-bindings promise: direct \
-            applications of lambdas (`let` bodies) that only call primitives are \
-            proven to fit the two-frame reserve and drop their checks too",
     );
     t
 }
@@ -963,40 +956,27 @@ pub fn e18_trace_overhead() -> Table {
     t
 }
 
-/// E19 — the raw-speed overhaul: interprocedural check elision plus the
-/// superinstruction/inline-cache dispatch rework, priced against the
-/// unsound `never` floor (Fig 8, §5).
+/// E19 — the check policies on the superinstruction/inline-cache VM,
+/// priced against the unsound `never` floor (Fig 8, §5).
 ///
 /// `never` compiles every call check-free, which is only sound here
 /// because the segment outruns the recursion; the gap between the best
 /// sound policy and `never` is the residual cost of overflow safety.
-pub fn e19_interproc_checks() -> Table {
+pub fn e19_check_policies() -> Table {
     let mut t = Table::new(
-        "E19: interprocedural elision + dispatch overhaul vs the unchecked floor",
-        "the bounded-depth call-graph analysis extends the Figure 8 two-frame \
-         reserve through whole proven subgraphs, and the fused-dispatch VM \
-         (superinstructions, monomorphic inline caches) shrinks the per-call \
-         baseline every policy shares",
-        &[
-            "workload",
-            "policy",
-            "time",
-            "vs never",
-            "checks executed",
-            "interproc elided",
-            "ic hits",
-            "ic misses",
-        ],
+        "E19: check policies on the fused-dispatch VM vs the unchecked floor",
+        "with superinstructions and monomorphic inline caches shrinking the \
+         per-call baseline every policy shares, a checked call costs no more \
+         than the unchecked floor (Fig 8, §5)",
+        &["workload", "policy", "time", "vs never", "checks executed", "ic hits", "ic misses"],
     );
     // `Never` is only sound when the segment outruns the recursion.
     let big = Config::builder().segment_slots(4 * 1024 * 1024).frame_bound(64).build().unwrap();
-    let mk = |policy: CheckPolicy, stable: bool, interproc: bool| -> Engine {
+    let mk = |policy: CheckPolicy| -> Engine {
         Engine::builder()
             .strategy(Strategy::Segmented)
             .config(big.clone())
             .check_policy(policy)
-            .stable_primitive_bindings(stable)
-            .interprocedural_elision(interproc)
             .build()
             .expect("engine construction")
     };
@@ -1008,15 +988,10 @@ pub fn e19_interproc_checks() -> Table {
         ("leaf-heavy sort 600", w::sort(600)),
         ("nested-helper 200k", w::nested_helper(200_000)),
     ] {
-        mk(CheckPolicy::Elide, false, false).eval(&src).expect("warmup");
+        mk(CheckPolicy::Elide).eval(&src).expect("warmup");
         let mut never_best = f64::MAX;
         let mut never_metrics = Metrics::default();
-        for (label, policy, stable, interproc) in [
-            ("always", CheckPolicy::Always, false, false),
-            ("elide", CheckPolicy::Elide, false, false),
-            ("elide+stable", CheckPolicy::Elide, true, false),
-            ("elide+stable+interproc", CheckPolicy::Elide, true, true),
-        ] {
+        for (label, policy) in [("always", CheckPolicy::Always), ("elide", CheckPolicy::Elide)] {
             // Interleaved pairs (the E18 methodology): the policy under
             // test and the `never` floor run back to back in alternating
             // order, and the reported gap is the median per-pair ratio —
@@ -1026,11 +1001,11 @@ pub fn e19_interproc_checks() -> Table {
             let mut metrics = Metrics::default();
             for rep in 0..reps {
                 let (p, n) = if rep % 2 == 0 {
-                    let p = measure(&mut mk(policy, stable, interproc), "", &src);
-                    (p, measure(&mut mk(CheckPolicy::Never, false, false), "", &src))
+                    let p = measure(&mut mk(policy), "", &src);
+                    (p, measure(&mut mk(CheckPolicy::Never), "", &src))
                 } else {
-                    let n = measure(&mut mk(CheckPolicy::Never, false, false), "", &src);
-                    (measure(&mut mk(policy, stable, interproc), "", &src), n)
+                    let n = measure(&mut mk(CheckPolicy::Never), "", &src);
+                    (measure(&mut mk(policy), "", &src), n)
                 };
                 assert_eq!(p.value, n.value, "{name}: policies must agree");
                 never_best = never_best.min(n.nanos);
@@ -1047,7 +1022,6 @@ pub fn e19_interproc_checks() -> Table {
                 fmt_ns(best),
                 format!("{gap:+.1}%"),
                 metrics.checks_executed.to_string(),
-                metrics.checks_elided_interproc.to_string(),
                 metrics.ic_hits.to_string(),
                 metrics.ic_misses.to_string(),
             ]);
@@ -1058,7 +1032,6 @@ pub fn e19_interproc_checks() -> Table {
             fmt_ns(never_best),
             "(floor)".to_string(),
             never_metrics.checks_executed.to_string(),
-            never_metrics.checks_elided_interproc.to_string(),
             never_metrics.ic_hits.to_string(),
             never_metrics.ic_misses.to_string(),
         ]);
@@ -1069,15 +1042,9 @@ pub fn e19_interproc_checks() -> Table {
             policy's best rep",
     );
     t.note(
-        "fib and tak are self-recursive, so their call heights are unbounded \
-            and the interprocedural pass proves nothing there — the gap those \
-            rows close comes from the shared dispatch overhaul; nested-helper \
-            is the shape where only the transitive analysis can drop checks",
-    );
-    t.note(
-        "interproc elided counts non-tail closure calls that skipped the \
-            check under the bounded-depth proof; they are a subset of the \
-            checks-elided total",
+        "lcg-let-loop and nested-helper are helper chains whose non-leaf calls \
+            keep their checks under elide; the checks they execute cost no \
+            measurable time over the floor",
     );
     t
 }
@@ -1120,7 +1087,7 @@ pub fn all() -> Vec<Experiment> {
         ("e16", e16_pingpong),
         ("e17", e17_relink_depth),
         ("e18", e18_trace_overhead),
-        ("e19", e19_interproc_checks),
+        ("e19", e19_check_policies),
         ("a1", a1_tail_rule),
         ("a2", a2_segment_size),
         ("a3", a3_pooling),
@@ -1132,7 +1099,7 @@ mod tests {
     use super::*;
 
     /// Smoke-check the cheap experiments end to end (heavy ones run via the
-    /// harness binary / criterion).
+    /// harness binary).
     #[test]
     fn frame_size_analysis_runs() {
         let t = e14_frame_sizes();

@@ -215,9 +215,9 @@ pub fn pingpong(cap: &str, spacer: u32, rounds: u32) -> String {
     )
 }
 
-/// A tail loop whose body is a `let`-shaped LCG step: every iteration is a
-/// direct application of a lambda whose body only calls primitives — the
-/// shape the `stable_primitive_bindings` analysis (E8) turns check-free.
+/// A tail loop whose body is a `let`-shaped LCG step: every iteration makes
+/// one checked non-tail call to `step`, whose `let` body only calls
+/// primitives (E8, E19).
 pub fn lcg_let_loop(n: u32) -> String {
     format!(
         "(define (step s)
@@ -229,10 +229,9 @@ pub fn lcg_let_loop(n: u32) -> String {
 }
 
 /// A bounded helper chain driven from a tail loop: every iteration makes a
-/// non-tail call to `sumsq`, which makes two non-tail calls to the leaf
-/// `sq` — the exact shape the interprocedural bounded-depth analysis
-/// proves check-free (transitive Figure 8 reserve), which single-body leaf
-/// elision cannot reach.
+/// non-tail call to `sumsq`, which makes two non-tail calls to `sq`. These
+/// calls go through globals rather than direct lambda applications, so the
+/// paper's leaf elision keeps all three checks (E19).
 pub fn nested_helper(n: u32) -> String {
     format!(
         "(define (sq x) (* x x))

@@ -59,10 +59,6 @@ pub struct Metrics {
     /// Call sites that skipped the overflow check thanks to the two-frame
     /// reserve (leaf procedures, tail loops; §5).
     pub checks_elided: u64,
-    /// Subset of `checks_elided` proved safe by the interprocedural
-    /// bounded-depth analysis (whole proven subgraphs, not just leaf
-    /// bodies). Always also counted in `checks_elided`.
-    pub checks_elided_interproc: u64,
     /// Fused superinstructions dispatched (each replaces two or more
     /// plain opcodes on the interpreter hot path).
     pub superinstructions_dispatched: u64,
@@ -106,7 +102,7 @@ impl Metrics {
 
     /// Every counter, in the fixed field order used by
     /// [`Metrics::FIELD_NAMES`].
-    pub fn fields(&self) -> [u64; 22] {
+    pub fn fields(&self) -> [u64; 21] {
         [
             self.calls,
             self.tail_calls,
@@ -126,14 +122,13 @@ impl Metrics {
             self.stack_records_allocated,
             self.checks_executed,
             self.checks_elided,
-            self.checks_elided_interproc,
             self.superinstructions_dispatched,
             self.ic_hits,
             self.ic_misses,
         ]
     }
 
-    fn fields_mut(&mut self) -> [&mut u64; 22] {
+    fn fields_mut(&mut self) -> [&mut u64; 21] {
         [
             &mut self.calls,
             &mut self.tail_calls,
@@ -153,7 +148,6 @@ impl Metrics {
             &mut self.stack_records_allocated,
             &mut self.checks_executed,
             &mut self.checks_elided,
-            &mut self.checks_elided_interproc,
             &mut self.superinstructions_dispatched,
             &mut self.ic_hits,
             &mut self.ic_misses,
@@ -161,7 +155,7 @@ impl Metrics {
     }
 
     /// Counter names matching [`Metrics::fields`] positionally.
-    pub const FIELD_NAMES: [&'static str; 22] = [
+    pub const FIELD_NAMES: [&'static str; 21] = [
         "calls",
         "tail_calls",
         "returns",
@@ -180,7 +174,6 @@ impl Metrics {
         "stack_records_allocated",
         "checks_executed",
         "checks_elided",
-        "checks_elided_interproc",
         "superinstructions_dispatched",
         "ic_hits",
         "ic_misses",
@@ -208,7 +201,7 @@ impl fmt::Display for Metrics {
             "calls={} tail={} rets={} captures={} reinstates={} relinked={} \
              copy-avoided={} splits={} ovf={} unf={} segs={}+{}r copied={} \
              heap-frames={} heap-slots={} records={} checks={}/{} elided \
-             ({} interproc) super={} ic={}/{}",
+             super={} ic={}/{}",
             self.calls,
             self.tail_calls,
             self.returns,
@@ -227,7 +220,6 @@ impl fmt::Display for Metrics {
             self.stack_records_allocated,
             self.checks_executed,
             self.checks_elided,
-            self.checks_elided_interproc,
             self.superinstructions_dispatched,
             self.ic_hits,
             self.ic_misses,

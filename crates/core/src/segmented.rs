@@ -400,10 +400,8 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
         }
         let new_fp = top - disp;
         // The adopted state must satisfy the full Figure 8 reserve — two
-        // frame bounds above the frame pointer — because the reinstated
-        // procedure may have been compiled with elided checks on the
-        // strength of a checked entry that guaranteed exactly that slack
-        // (interprocedurally elided chains consume both frames of it).
+        // frame bounds above the frame pointer: one for the resumed frame
+        // and one for a leaf call it may make without a check.
         if new_fp + self.cfg.esp_reserve() > buf_len {
             return None;
         }

@@ -26,14 +26,10 @@ pub enum Check {
     /// The site performs the overflow check, re-establishing the
     /// two-frame reserve for its callee.
     Yes,
-    /// The check is statically elided: the callee provably stays within
-    /// the reserve (leaf/prim-leaf bodies), or the `never` policy is in
+    /// The check is statically elided: the callee is a leaf lambda and
+    /// provably stays within the reserve, or the `never` policy is in
     /// force.
     Elided,
-    /// The check is elided by the *interprocedural* bounded-depth
-    /// analysis: the whole callee subgraph was proved to stay within the
-    /// reserve. Counted separately so the win is auditable.
-    ElidedInterproc,
 }
 
 impl Check {

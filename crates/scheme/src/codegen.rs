@@ -20,7 +20,6 @@ use std::fmt;
 use crate::code::{Check, Chunk, CodeStore, IcSlot, Instr};
 use crate::error::SchemeError;
 use crate::expand::Expander;
-use crate::interproc::InterprocDecisions;
 use crate::primitives::PrimKind;
 use crate::resolve::{resolve_toplevel, Capture, RExpr, RLambda, PARAM_BASE};
 use crate::value::Value;
@@ -48,38 +47,11 @@ pub struct CompileOptions {
     /// Maximum frame size in slots; compilation fails beyond it. Should
     /// match the control stack's configured frame bound.
     pub frame_bound: usize,
-    /// Under [`CheckPolicy::Elide`], also skip the overflow check for
-    /// direct applications of lambdas whose bodies call nothing but
-    /// globals bound (at compile time) to ordinary primitives. Primitives
-    /// complete without pushing a Scheme frame, so such a body stays
-    /// within the two-frame reserve exactly like a true leaf.
-    ///
-    /// The flag's assumption is that those globals are never rebound to
-    /// Scheme procedures. Even if they are, safety degrades gracefully:
-    /// the rebound procedure's own call sites still carry their checks, so
-    /// only one unchecked frame can land in the reserve — but the elision
-    /// is no longer justified by the compile-time analysis, hence the
-    /// opt-in default of `false`.
-    pub stable_primitive_bindings: bool,
-    /// Under [`CheckPolicy::Elide`], additionally run the
-    /// [interprocedural bounded-depth analysis](crate::interproc) and
-    /// elide the overflow check at every call site it proves stays
-    /// within the two-frame reserve transitively — whole proven
-    /// subgraphs rather than single leaf bodies. Carries the same
-    /// compile-time-bindings promise as `stable_primitive_bindings`
-    /// (globals resolved by the analysis are never rebound), hence the
-    /// opt-in default of `false`.
-    pub interprocedural_elision: bool,
 }
 
 impl Default for CompileOptions {
     fn default() -> Self {
-        CompileOptions {
-            policy: CheckPolicy::default(),
-            frame_bound: 64,
-            stable_primitive_bindings: false,
-            interprocedural_elision: false,
-        }
+        CompileOptions { policy: CheckPolicy::default(), frame_bound: 64 }
     }
 }
 
@@ -98,22 +70,8 @@ pub fn compile_toplevel(
 ) -> Result<u32, SchemeError> {
     let ast = expander.expand_toplevel(datum)?;
     let rexpr = resolve_toplevel(&ast, globals)?;
-    let globals = &*globals;
-    let interproc = if opts.interprocedural_elision && opts.policy == CheckPolicy::Elide {
-        Some(crate::interproc::analyze(&rexpr, globals, opts.frame_bound))
-    } else {
-        None
-    };
-    let mut g = Gen {
-        store,
-        opts,
-        globals,
-        interproc: interproc.as_ref(),
-        instrs: Vec::new(),
-        consts: Vec::new(),
-        max_stage: 1,
-        ics: 0,
-    };
+    let mut g =
+        Gen { store, opts, globals, instrs: Vec::new(), consts: Vec::new(), max_stage: 1, ics: 0 };
     g.gen_tail(&rexpr, 1)?;
     let name = format!("toplevel-{}", store.len());
     Ok(store.add(g.finish(name, 0, false)))
@@ -122,11 +80,9 @@ pub fn compile_toplevel(
 struct Gen<'a> {
     store: &'a CodeStore,
     opts: &'a CompileOptions,
-    /// Global bindings as of compilation time, consulted by the
-    /// `stable_primitive_bindings` check-elision analysis.
+    /// Global bindings as of compilation time, consulted when choosing
+    /// between the inline-cached and the generic call paths.
     globals: &'a crate::code::Globals,
-    /// Interprocedural elision decisions for this unit, when enabled.
-    interproc: Option<&'a InterprocDecisions>,
     instrs: Vec<Instr>,
     consts: Vec<Value>,
     max_stage: u16,
@@ -148,7 +104,6 @@ impl Gen<'_> {
             store: self.store,
             opts: self.opts,
             globals: self.globals,
-            interproc: self.interproc,
             instrs: Vec::new(),
             consts: Vec::new(),
             max_stage: wm,
@@ -326,7 +281,7 @@ impl Gen<'_> {
             RExpr::Call(op, args) => {
                 let d = wm;
                 let nargs = args.len() as u16;
-                let check = self.check_for(e, op);
+                let check = self.check_for(op);
                 if let Some(g) = self.ic_operator(op) {
                     // Operator staging is folded into the call itself;
                     // the slot is still part of the frame.
@@ -445,65 +400,15 @@ impl Gen<'_> {
         }
     }
 
-    /// The §5 check-elision decision for one call site. `site` is the
-    /// `RExpr::Call` node itself (the interprocedural analysis keys its
-    /// decisions on it), `op` its operator.
-    fn check_for(&self, site: &RExpr, op: &RExpr) -> Check {
+    /// The §5 check-elision decision for a call site with operator `op`.
+    fn check_for(&self, op: &RExpr) -> Check {
         match self.opts.policy {
             CheckPolicy::Always => Check::Yes,
             CheckPolicy::Never => Check::Elided,
-            CheckPolicy::Elide => {
-                if let RExpr::Lambda(l) = op {
-                    if l.leaf
-                        || (self.opts.stable_primitive_bindings && self.prim_leaf_body(&l.body))
-                    {
-                        return Check::Elided;
-                    }
-                }
-                if self.interproc.is_some_and(|ip| ip.should_elide(site)) {
-                    return Check::ElidedInterproc;
-                }
-                Check::Yes
-            }
-        }
-    }
-
-    /// The `stable_primitive_bindings` analysis: `e` performs no calls
-    /// other than direct applications of globals currently bound to
-    /// ordinary primitives. Primitives run to completion without pushing a
-    /// Scheme frame, so a body of this shape fits the two-frame reserve
-    /// exactly like a true leaf. Nested lambda *creation* is fine (their
-    /// bodies carry their own call-site checks); a nested lambda in
-    /// *operator* position is not, because that call would stack frames.
-    fn prim_leaf_body(&self, e: &RExpr) -> bool {
-        match e {
-            RExpr::Quote(_)
-            | RExpr::LocalRef(_)
-            | RExpr::LocalCellRef(_)
-            | RExpr::FreeRef(_)
-            | RExpr::FreeCellRef(_)
-            | RExpr::GlobalRef(_)
-            | RExpr::Lambda(_) => true,
-            RExpr::LocalCellSet(_, v)
-            | RExpr::FreeCellSet(_, v)
-            | RExpr::GlobalSet(_, v)
-            | RExpr::GlobalDef(_, v) => self.prim_leaf_body(v),
-            RExpr::If(c, t, f) => {
-                self.prim_leaf_body(c) && self.prim_leaf_body(t) && self.prim_leaf_body(f)
-            }
-            RExpr::Begin(es) => es.iter().all(|e| self.prim_leaf_body(e)),
-            RExpr::Call(op, args) => {
-                let prim_op = match op.as_ref() {
-                    RExpr::GlobalRef(g) => match self.globals.get(*g) {
-                        Ok(Value::Primitive(p)) => {
-                            matches!(crate::primitives::def_of(p).kind, PrimKind::Normal(_))
-                        }
-                        _ => false,
-                    },
-                    _ => false,
-                };
-                prim_op && args.iter().all(|a| self.prim_leaf_body(a))
-            }
+            CheckPolicy::Elide => match op {
+                RExpr::Lambda(l) if l.leaf => Check::Elided,
+                _ => Check::Yes,
+            },
         }
     }
 
@@ -689,57 +594,20 @@ mod tests {
     }
 
     #[test]
-    fn stable_primitive_bindings_elides_checks_for_prim_leaf_lets() {
+    fn elide_keeps_checks_for_non_leaf_lambdas() {
         // (let ((t 1)) (* t t)) expands to a direct lambda application whose
-        // body only calls a primitive. Plain Elide must keep the check (the
-        // body contains a call, so the lambda is not a leaf); with the
-        // stable-bindings promise the prim-leaf analysis removes it.
-        let src = "(g (let ((t 1)) (* t t)))";
-        for (stable, expect) in [(false, Check::Yes), (true, Check::Elided)] {
-            let store = CodeStore::new();
-            let mut globals = Globals::new();
-            crate::primitives::install(&mut globals);
-            let mut ex = Expander::new();
-            let opts = CompileOptions {
-                policy: CheckPolicy::Elide,
-                stable_primitive_bindings: stable,
-                ..CompileOptions::default()
-            };
-            let id =
-                compile_toplevel(&read_one(src).unwrap(), &mut ex, &store, &mut globals, &opts)
-                    .unwrap();
-            let c = store.chunk(id);
-            let checks: Vec<Check> = c
-                .instrs
-                .iter()
-                .filter_map(|i| match i {
-                    Instr::Call { check, .. } => Some(*check),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(checks, vec![expect], "stable={stable}");
-        }
-    }
-
-    #[test]
-    fn stable_primitive_bindings_keeps_checks_for_closure_calls() {
-        // The body calls `f`, a global *not* bound to a primitive, so the
-        // analysis must leave the check in place even with the flag on.
+        // body calls a primitive, so the lambda is not a leaf and the call
+        // keeps its check.
         let store = CodeStore::new();
         let mut globals = Globals::new();
         crate::primitives::install(&mut globals);
         let mut ex = Expander::new();
-        let opts = CompileOptions {
-            policy: CheckPolicy::Elide,
-            stable_primitive_bindings: true,
-            ..CompileOptions::default()
-        };
         let id = compile_toplevel(
-            &read_one("(g (let ((t 1)) (f t)))").unwrap(),
+            &read_one("(g (let ((t 1)) (* t t)))").unwrap(),
             &mut ex,
             &store,
             &mut globals,
-            &opts,
+            &CompileOptions::default(),
         )
         .unwrap();
         let c = store.chunk(id);
@@ -751,7 +619,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(checks, vec![Check::Yes], "non-primitive callee keeps its check");
+        assert_eq!(checks, vec![Check::Yes]);
     }
 
     #[test]

@@ -43,7 +43,6 @@ mod codegen;
 mod error;
 pub mod expand;
 mod intern;
-mod interproc;
 pub mod lexer;
 mod machine;
 pub mod macros;
@@ -58,7 +57,6 @@ pub use code::{Check, Chunk, CodeStore, Globals, IcSlot, IcTarget, Instr, Verify
 pub use codegen::{compile_toplevel, CheckPolicy, CompileOptions};
 pub use error::{SchemeError, SourcePos};
 pub use intern::Symbol;
-pub use interproc::{analyze, InterprocDecisions};
 pub use machine::{Engine, EngineBuilder};
 pub use reader::{read_all, read_one};
 pub use value::{Closure, Displayed, Pair, Primitive, Value};

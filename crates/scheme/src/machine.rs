@@ -37,8 +37,6 @@ pub struct EngineBuilder {
     strategy: Strategy,
     config: Config,
     policy: CheckPolicy,
-    stable_primitive_bindings: bool,
-    interprocedural_elision: bool,
     max_steps: Option<u64>,
     prelude: bool,
     trace_sink: Option<Rc<RefCell<RingSink>>>,
@@ -50,8 +48,6 @@ impl Default for EngineBuilder {
             strategy: Strategy::Segmented,
             config: Config::default(),
             policy: CheckPolicy::default(),
-            stable_primitive_bindings: false,
-            interprocedural_elision: false,
             max_steps: None,
             prelude: true,
             trace_sink: None,
@@ -76,27 +72,6 @@ impl EngineBuilder {
     /// Sets the overflow-check policy used by the compiler (experiment E8).
     pub fn check_policy(mut self, policy: CheckPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Promises the compiler that globals bound to primitives stay bound
-    /// to primitives, letting [`CheckPolicy::Elide`] also skip overflow
-    /// checks for direct applications of lambdas whose bodies only call
-    /// primitives (`let`-shaped code). See
-    /// [`CompileOptions::stable_primitive_bindings`].
-    pub fn stable_primitive_bindings(mut self, stable: bool) -> Self {
-        self.stable_primitive_bindings = stable;
-        self
-    }
-
-    /// Enables the interprocedural bounded-depth analysis: under
-    /// [`CheckPolicy::Elide`], overflow checks are also skipped at call
-    /// sites whose whole callee subgraph provably fits in the two-frame
-    /// reserve. Carries the same binding-stability promise as
-    /// [`EngineBuilder::stable_primitive_bindings`] for the globals the
-    /// analysis resolves. See [`CompileOptions::interprocedural_elision`].
-    pub fn interprocedural_elision(mut self, on: bool) -> Self {
-        self.interprocedural_elision = on;
         self
     }
 
@@ -157,12 +132,7 @@ impl EngineBuilder {
         };
         let vm_opts =
             VmOptions { max_steps: self.max_steps, frame_bound: self.config.frame_bound() };
-        let copts = CompileOptions {
-            policy: self.policy,
-            frame_bound: self.config.frame_bound(),
-            stable_primitive_bindings: self.stable_primitive_bindings,
-            interprocedural_elision: self.interprocedural_elision,
-        };
+        let copts = CompileOptions { policy: self.policy, frame_bound: self.config.frame_bound() };
         let mut engine = Engine {
             strategy: self.strategy,
             store,
@@ -824,6 +794,23 @@ mod tests {
                 "144",
                 "{policy:?}"
             );
+        }
+    }
+
+    #[test]
+    fn bad_counts_are_errors_and_the_engine_survives() {
+        let mut e = engine();
+        for src in [
+            "(make-vector -1 0)",
+            "(make-string -1)",
+            "(make-vector 100000000000 0)",
+            "(make-string 4611686018427387904)",
+            "(substring \"abc\" -1 2)",
+            "(string-set! (make-string 3) -1 #\\x)",
+        ] {
+            let err = e.eval(src).unwrap_err();
+            assert!(matches!(err, SchemeError::Runtime { .. }), "{src}: {err}");
+            assert_eq!(e.eval_to_string("(+ 1 2)").unwrap(), "3", "after {src}");
         }
     }
 }

@@ -231,6 +231,19 @@ fn want_fixnum(v: &Value, who: &str) -> Result<i64, SchemeError> {
     v.as_fixnum().map_err(|_| SchemeError::runtime(format!("{who}: expected a fixnum, got {v}")))
 }
 
+/// A length or index argument: a non-negative fixnum, as a `usize`.
+fn want_count(v: &Value, who: &str) -> Result<usize, SchemeError> {
+    let n = want_fixnum(v, who)?;
+    usize::try_from(n).map_err(|_| {
+        SchemeError::runtime(format!("{who}: expected a non-negative fixnum, got {n}"))
+    })
+}
+
+/// The error for a `who` object of `n` elements the host cannot allocate.
+fn too_large(who: &str, n: usize) -> SchemeError {
+    SchemeError::runtime(format!("{who}: cannot allocate {n} elements"))
+}
+
 fn want_string(v: &Value, who: &str) -> Result<Rc<RefCell<String>>, SchemeError> {
     match v {
         Value::Str(s) => Ok(s.clone()),
@@ -727,8 +740,8 @@ fn p_string_ref(_: &mut PrimCtx<'_>, a: &[Value]) -> Result<Value, SchemeError> 
 
 fn p_substring(_: &mut PrimCtx<'_>, a: &[Value]) -> Result<Value, SchemeError> {
     let s = want_string(&a[0], "substring")?;
-    let start = want_fixnum(&a[1], "substring")? as usize;
-    let end = want_fixnum(&a[2], "substring")? as usize;
+    let start = want_count(&a[1], "substring")?;
+    let end = want_count(&a[2], "substring")?;
     let s = s.borrow();
     let chars: Vec<char> = s.chars().collect();
     if start > end || end > chars.len() {
@@ -774,12 +787,17 @@ fn p_list_to_string(_: &mut PrimCtx<'_>, a: &[Value]) -> Result<Value, SchemeErr
 }
 
 fn p_make_string(_: &mut PrimCtx<'_>, a: &[Value]) -> Result<Value, SchemeError> {
-    let n = want_fixnum(&a[0], "make-string")? as usize;
+    let n = want_count(&a[0], "make-string")?;
     let c = match a.get(1) {
         Some(v) => want_char(v, "make-string")?,
         None => ' ',
     };
-    Ok(Value::string(std::iter::repeat_n(c, n).collect::<String>()))
+    let mut out = String::new();
+    n.checked_mul(c.len_utf8())
+        .and_then(|bytes| out.try_reserve_exact(bytes).ok())
+        .ok_or_else(|| too_large("make-string", n))?;
+    out.extend(std::iter::repeat_n(c, n));
+    Ok(Value::string(out))
 }
 
 fn p_string(_: &mut PrimCtx<'_>, a: &[Value]) -> Result<Value, SchemeError> {
@@ -792,7 +810,7 @@ fn p_string(_: &mut PrimCtx<'_>, a: &[Value]) -> Result<Value, SchemeError> {
 
 fn p_string_set(_: &mut PrimCtx<'_>, a: &[Value]) -> Result<Value, SchemeError> {
     let s = want_string(&a[0], "string-set!")?;
-    let i = want_fixnum(&a[1], "string-set!")? as usize;
+    let i = want_count(&a[1], "string-set!")?;
     let c = want_char(&a[2], "string-set!")?;
     let mut s = s.borrow_mut();
     let chars: Vec<char> = s.chars().collect();
@@ -959,9 +977,12 @@ fn p_char_whitespace(_: &mut PrimCtx<'_>, a: &[Value]) -> Result<Value, SchemeEr
 // Vectors.
 
 fn p_make_vector(_: &mut PrimCtx<'_>, a: &[Value]) -> Result<Value, SchemeError> {
-    let n = want_fixnum(&a[0], "make-vector")? as usize;
+    let n = want_count(&a[0], "make-vector")?;
     let fill = a.get(1).cloned().unwrap_or(Value::Fixnum(0));
-    Ok(Value::Vector(Rc::new(RefCell::new(vec![fill; n]))))
+    let mut items = Vec::new();
+    items.try_reserve_exact(n).map_err(|_| too_large("make-vector", n))?;
+    items.resize(n, fill);
+    Ok(Value::Vector(Rc::new(RefCell::new(items))))
 }
 
 fn p_vector(_: &mut PrimCtx<'_>, a: &[Value]) -> Result<Value, SchemeError> {
@@ -1639,6 +1660,33 @@ mod tests {
         assert!(call("vector-ref", &[v.clone(), 5.into()]).is_err());
         assert!(call("vector-ref", &[v.clone(), (-1).into()]).is_err());
         assert_eq!(call("vector->list", &[v]).unwrap().to_string(), "(x 9 x)");
+    }
+
+    #[test]
+    fn negative_counts_are_errors_naming_the_value() {
+        let s: Value = "abc".into();
+        for (name, args) in [
+            ("make-vector", vec![(-1).into(), 0.into()]),
+            ("make-string", vec![(-1).into()]),
+            ("substring", vec![s.clone(), (-1).into(), 2.into()]),
+            ("string-set!", vec![s, (-1).into(), 'x'.into()]),
+        ] {
+            let e = call(name, &args).unwrap_err().to_string();
+            assert!(e.contains(&format!("{name}: expected a non-negative fixnum, got -1")), "{e}");
+        }
+    }
+
+    #[test]
+    fn unallocatable_sizes_are_errors() {
+        // 2^62 elements exceed any address space, so the reservation
+        // fails on every host instead of committing memory.
+        let n = 1i64 << 62;
+        for name in ["make-vector", "make-string"] {
+            let e = call(name, &[n.into()]).unwrap_err().to_string();
+            assert!(e.contains(&format!("{name}: cannot allocate {n} elements")), "{e}");
+        }
+        assert_eq!(call("make-string", &[2.into(), 'λ'.into()]).unwrap(), Value::string("λλ"));
+        assert_eq!(call("make-vector", &[0.into()]).unwrap().to_string(), "#()");
     }
 
     #[test]

@@ -387,9 +387,6 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
                     self.stack.metrics_mut().ic_hits += 1;
                     let opv = self.globals.get(g)?;
                     self.stack.set(d as usize + 1, opv);
-                    if check == Check::ElidedInterproc {
-                        self.stack.metrics_mut().checks_elided_interproc += 1;
-                    }
                     let ret = CodeAddr::new(self.chunk_id, self.pc as u32 + 2);
                     self.stack.call(d as usize, ret, 1 + nargs as usize, check.performs_check())?;
                     self.enter_chunk(chunk);
@@ -690,9 +687,6 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
         match op {
             Value::Closure(c) => {
                 let eff = self.adjust_arity(&c, d as usize + 2, nargs)?;
-                if check == Check::ElidedInterproc {
-                    self.stack.metrics_mut().checks_elided_interproc += 1;
-                }
                 self.stack.call(d as usize, ret, 1 + eff as usize, check.performs_check())?;
                 self.enter_chunk(c.chunk);
                 Ok(None)

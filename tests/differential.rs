@@ -112,24 +112,14 @@ fn corpus_agrees_under_stress_config() {
 
 #[test]
 fn corpus_agrees_across_check_policies() {
-    // The overflow-check policy — including the interprocedural elision
-    // pass — must never change results, only counters.
+    // The overflow-check policy must never change results, only counters.
     for (name, src) in CORPUS {
-        let mut results = Vec::new();
-        for (policy, interproc) in
-            [(CheckPolicy::Always, false), (CheckPolicy::Elide, false), (CheckPolicy::Elide, true)]
-        {
-            let mut e = Engine::builder()
-                .check_policy(policy)
-                .interprocedural_elision(interproc)
-                .max_steps(50_000_000)
-                .build()
-                .unwrap();
-            let r = e.eval(src).map(|v| v.to_string()).map_err(|e| e.to_string());
-            results.push((policy, interproc, r));
-        }
-        assert_eq!(results[0].2, results[1].2, "{name} diverges across check policies");
-        assert_eq!(results[1].2, results[2].2, "{name} diverges under interprocedural elision");
+        let [always, elide] = [CheckPolicy::Always, CheckPolicy::Elide].map(|policy| {
+            let mut e =
+                Engine::builder().check_policy(policy).max_steps(50_000_000).build().unwrap();
+            e.eval(src).map(|v| v.to_string()).map_err(|e| e.to_string())
+        });
+        assert_eq!(always, elide, "{name} diverges across check policies");
     }
 }
 
