@@ -1,0 +1,116 @@
+//! Memory-retention gate for the segmented stack.
+//!
+//! A stack buffer may keep a heap value only where a live frame or a live
+//! stack record can read it. Before that rule, a sealed record kept its
+//! whole buffer alive while the buffer's dead slots held continuations
+//! pointing back at the record, a cycle reference counting never frees:
+//! hundreds of KB per run of ctak or a ping-pong.
+//!
+//! Live heap bytes are counted by this binary's global allocator. The file
+//! holds a single `#[test]` so that no other test thread allocates while it
+//! measures.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, Ordering};
+
+use segstack_baselines::Strategy;
+use segstack_bench::workloads as w;
+use segstack_control::{Control, Step};
+use segstack_scheme::Engine;
+
+static LIVE: AtomicI64 = AtomicI64::new(0);
+
+/// The system allocator, tracking the bytes currently allocated.
+struct Live;
+
+// SAFETY: every method forwards to `System` with the caller's own
+// arguments; the bookkeeping touches one atomic and never allocates.
+unsafe impl GlobalAlloc for Live {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: forwarded verbatim; the caller upholds `alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: forwarded verbatim; the caller upholds `realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: forwarded verbatim; the caller upholds `dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Live = Live;
+
+/// Bytes still allocated per run after `runs` runs, measured after `warm`
+/// warm-up runs so one-time growth (global tables, pooled segments, the
+/// code store's capacity) is not charged to the steady state.
+fn retained_per_run(warm: usize, runs: usize, mut run: impl FnMut()) -> i64 {
+    for _ in 0..warm {
+        run();
+    }
+    let before = LIVE.load(Ordering::Relaxed);
+    for _ in 0..runs {
+        run();
+    }
+    (LIVE.load(Ordering::Relaxed) - before) / runs as i64
+}
+
+#[test]
+fn captures_retain_no_dead_segments() {
+    const RUN_BOUND: i64 = 32 * 1024;
+    const JOB_BOUND: i64 = 64 * 1024;
+    let programs = [
+        ("ctak 12 8 4", w::ctak(12, 8, 4), "5"),
+        ("%call/1cc ping-pong 600 deep", w::pingpong("%call/1cc", 600, 200), "200"),
+        ("%call/cc ping-pong 600 deep", w::pingpong("%call/cc", 600, 20), "20"),
+        ("capture at depth 200 x 50", w::capture_at_depth(200, 50), "200"),
+    ];
+    let mut report = Vec::new();
+    for (name, src, expect) in &programs {
+        let mut engine = Engine::new().expect("default engine");
+        let per_run = retained_per_run(3, 20, || {
+            let got = engine.eval_to_string(src).expect("program runs");
+            assert_eq!(&got, expect, "{name}");
+        });
+        report.push((format!("{name}: {per_run} B/run"), per_run <= RUN_BOUND));
+    }
+
+    // A preempted deep recursion: every expired quantum captures the
+    // job's stack, and the next quantum reinstates it.
+    let mut kit = Control::new(Strategy::Segmented).expect("control kit");
+    let src = w::deep_sum(5000);
+    let per_job = retained_per_run(3, 20, || {
+        let mut job = kit.spawn_job(&src).expect("spawn");
+        let value = loop {
+            match kit.step_job(&mut job, 1000).expect("step") {
+                Step::Done { value, .. } => break value,
+                Step::Expired => {}
+            }
+        };
+        assert_eq!(value.to_string(), "12502500");
+        assert!(job.quanta() > 1, "the job was preempted");
+    });
+    report.push((format!("deep-sum 5000 job: {per_job} B/job"), per_job <= JOB_BOUND));
+    for (line, _) in &report {
+        println!("{line}");
+    }
+    let over: Vec<&str> = report.iter().filter(|(_, ok)| !ok).map(|(r, _)| r.as_str()).collect();
+    assert!(
+        over.is_empty(),
+        "over the bound ({RUN_BOUND} B/run, {JOB_BOUND} B/job): {}",
+        over.join("; ")
+    );
+}

@@ -20,7 +20,7 @@ use crate::config::Config;
 use crate::error::StackError;
 use crate::metrics::Metrics;
 use crate::record::{Continuation, KontRepr};
-use crate::segment::{Buffer, SegmentAllocator};
+use crate::segment::{drain_releases, release_later, release_slots, Buffer, SegmentAllocator};
 use crate::slot::StackSlot;
 use crate::traits::{ControlStack, StackStats};
 use crate::walker::split_point;
@@ -76,12 +76,24 @@ impl<S: StackSlot> Drop for SegKont<S> {
         // Record chains can be long (one record per overflow), and segment
         // buffers hold continuation values pointing at further buffers;
         // tear both down iteratively.
-        let mut s = self.0.borrow_mut();
+        let s = self.0.get_mut();
         if let Some(link) = s.link.take() {
             crate::drops::defer_drop(link);
         }
-        let empty: Buffer<S> = Rc::new(RefCell::new(Vec::new().into_boxed_slice()));
-        crate::drops::defer_drop(std::mem::replace(&mut s.buf, empty));
+        if Rc::strong_count(&s.buf) > 1 {
+            // The buffer outlives this record, so its region must not: the
+            // dead values there may hold continuations whose records share
+            // the buffer, a cycle no count would ever free. Nothing else
+            // reads the region (sealed regions are disjoint), but the
+            // buffer may be borrowed right now, so the release is queued.
+            if s.size > 0 {
+                release_later(s.buf.clone(), s.base, s.base + s.size);
+            }
+        } else if !s.consumed {
+            // A consumed record already traded its buffer for an empty one.
+            let empty: Buffer<S> = Rc::new(RefCell::new(Vec::new().into_boxed_slice()));
+            crate::drops::defer_drop(std::mem::replace(&mut s.buf, empty));
+        }
     }
 }
 
@@ -189,6 +201,12 @@ pub struct SegmentedStack<S: StackSlot, T: TraceSink = NoopSink> {
     /// The frame pointer: base of the current frame. There is no stack
     /// pointer (§3).
     fp: usize,
+    /// High-water mark: the highest frame pointer a checked call, a
+    /// reinstatement or a relink has set since `buf` became live.
+    /// Unchecked calls are leaf calls inside the Figure 8 reserve, so no
+    /// slot at or above `hw + esp_reserve` was written in this stint, and
+    /// releasing the dead span when the stack leaves `buf` stops there.
+    hw: usize,
     /// Link field of the current stack record.
     link: Option<Continuation<S>>,
     metrics: Metrics,
@@ -222,7 +240,19 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
         let buf = alloc.alloc(cfg.segment_slots(), &mut metrics)?;
         let end = buf.borrow().len();
         buf.borrow_mut()[0] = S::from_return_address(ReturnAddress::Exit);
-        Ok(SegmentedStack { code, cfg, alloc, buf, base: 0, end, fp: 0, link: None, metrics, sink })
+        Ok(SegmentedStack {
+            code,
+            cfg,
+            alloc,
+            buf,
+            base: 0,
+            end,
+            fp: 0,
+            hw: 0,
+            link: None,
+            metrics,
+            sink,
+        })
     }
 
     /// The trace sink (shared access, e.g. for readouts in tests).
@@ -262,11 +292,32 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
         self.alloc.pooled()
     }
 
+    /// Resumes at `fp` after a reinstatement or relink.
+    fn resume_at(&mut self, fp: usize) {
+        self.fp = fp;
+        self.hw = self.hw.max(fp);
+    }
+
+    /// Releases the dead span `[lo, hw + esp_reserve)` of the live buffer
+    /// before the stack leaves it or starts over in it, then runs the
+    /// queued releases, so that buffer owner counts are exact again.
+    /// Every record sharing the live buffer ends at or below `base`, so no
+    /// record reads the span; the live frames in it are being abandoned.
+    fn release_dead_span(&self, lo: usize) {
+        release_slots(&self.buf, lo, self.hw + self.cfg.esp_reserve());
+        drain_releases();
+    }
+
     /// Overflow recovery: "If stack overflow can be detected while the
     /// system is in a known state, overflow can be treated as an implicit
     /// continuation capture" (§5). Seals everything through the caller's
     /// frame (including the staged partial frame boundary) and moves only
     /// the partial frame to a fresh segment.
+    ///
+    /// Kept out of line: inlined, its bulk would make every checked call
+    /// save registers it only needs on the rare overflow.
+    #[cold]
+    #[inline(never)]
     fn overflow_call(&mut self, d: usize, ra: CodeAddr, nargs: usize) -> Result<(), StackError> {
         self.metrics.overflows += 1;
         let seal_top = self.fp + d;
@@ -298,10 +349,12 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
             }
         }
         self.metrics.slots_copied += nargs as u64;
+        self.release_dead_span(seal_top);
         self.buf = newbuf;
         self.base = 0;
         self.end = newlen;
         self.fp = 0;
+        self.hw = 0;
         self.link = Some(k);
         self.sink.emit(EventKind::OverflowEnd, nargs as u64, newlen as u64);
         Ok(())
@@ -459,13 +512,15 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
             s.buf = Rc::new(RefCell::new(Vec::new().into_boxed_slice()));
             s.link.take()
         };
-        let old = std::mem::replace(&mut self.buf, head_buf);
-        if !Rc::ptr_eq(&old, &self.buf) {
+        if !same_buffer {
+            self.release_dead_span(self.base);
+            let old = std::mem::replace(&mut self.buf, head_buf);
             self.alloc.retire(old);
+            self.hw = 0;
         }
         self.base = head_base;
         self.end = buf_len;
-        self.fp = new_fp;
+        self.resume_at(new_fp);
         self.link = link;
         self.metrics.reinstates_relinked += 1;
         self.metrics.slots_copy_avoided += size as u64;
@@ -493,6 +548,9 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
         // Begin/Relink/End span — the span protocol below is reserved for
         // the copy path, whose End event carries the realized copy cost.
         if owned && !k.is_exit() {
+            // Queued releases hold buffer handles; the relink's owner
+            // count must not see them.
+            drain_releases();
             if let Some(ra) = self.try_relink(k) {
                 self.metrics.reinstatements += 1;
                 return Ok(ra);
@@ -522,7 +580,7 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
         self.metrics.reinstatements += 1;
         if k.is_exit() {
             self.buf.borrow_mut()[self.base] = S::from_return_address(ReturnAddress::Exit);
-            self.fp = self.base;
+            self.resume_at(self.base);
             self.link = None;
             return Ok(ReturnAddress::Exit);
         }
@@ -551,7 +609,7 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
                         drop(resolved);
                         self.buf.borrow_mut()[self.base] =
                             S::from_return_address(ReturnAddress::Exit);
-                        self.fp = self.base;
+                        self.resume_at(self.base);
                         self.link = None;
                         return Ok(ReturnAddress::Exit);
                     }
@@ -559,7 +617,7 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
                 None => {
                     drop(sealed);
                     self.buf.borrow_mut()[self.base] = S::from_return_address(ReturnAddress::Exit);
-                    self.fp = self.base;
+                    self.resume_at(self.base);
                     self.link = None;
                     return Ok(ReturnAddress::Exit);
                 }
@@ -585,10 +643,12 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
                 newlen as u64,
                 (self.metrics.segments_reused > reused_before) as u64,
             );
+            self.release_dead_span(self.base);
             let old = std::mem::replace(&mut self.buf, newbuf);
             self.alloc.retire(old);
             self.base = 0;
             self.end = newlen;
+            self.hw = 0;
         }
         if Rc::ptr_eq(&src_buf, &self.buf) {
             // The saved segment lives below the current base in the very
@@ -607,7 +667,7 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
             }
         }
         self.metrics.slots_copied += size as u64;
-        self.fp = self.base + size - self.code.displacement(ra);
+        self.resume_at(self.base + size - self.code.displacement(ra));
         self.link = klink;
         Ok(ReturnAddress::Code(ra))
     }
@@ -618,6 +678,12 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
     /// frame well-formedness of the live region, agreement between the
     /// segment's base word and its link field, and well-formedness of every
     /// sealed record reachable through the link chain.
+    ///
+    /// It also checks what releasing the dead span relies on: the frame
+    /// pointer sits at or below the high-water mark, and every chain
+    /// record that shares the live buffer ends at or below `base`. An
+    /// unchecked (leaf) call may run one frame above the mark, so the
+    /// audit belongs between operations, not inside a leaf frame.
     ///
     /// Unlike the [`walker`](crate::walker) helpers this never panics on
     /// corrupt state; it returns a description of the first violation
@@ -653,6 +719,12 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
                     self.fp, bound, self.end
                 ));
             }
+            if self.fp > self.hw {
+                return Err(format!(
+                    "frame pointer {} above the high-water mark {}",
+                    self.fp, self.hw
+                ));
+            }
             audit_frames(&buf, self.base, self.fp, &*self.code, bound)
                 .map_err(|e| format!("live segment: {e}"))?;
             audit_base_word(&buf, self.base, self.link.is_some(), self.cfg.tail_capture_rule())
@@ -673,6 +745,13 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
                 if s.consumed {
                     return Err(format!(
                         "record {depth} was consumed by a relink but is still reachable"
+                    ));
+                }
+                if Rc::ptr_eq(&s.buf, &self.buf) && s.base + s.size > self.base {
+                    return Err(format!(
+                        "record {depth} shares the live buffer but ends at {}, above the base {}",
+                        s.base + s.size,
+                        self.base
                     ));
                 }
                 let sbuf = s.buf.borrow();
@@ -816,6 +895,7 @@ impl<S: StackSlot, T: TraceSink> ControlStack<S> for SegmentedStack<S, T> {
             if new_fp > self.esp() {
                 return self.overflow_call(d, ra, nargs);
             }
+            self.hw = self.hw.max(new_fp);
         } else {
             self.metrics.checks_elided += 1;
             debug_assert!(
@@ -880,6 +960,10 @@ impl<S: StackSlot, T: TraceSink> ControlStack<S> for SegmentedStack<S, T> {
                 });
                 drop(k);
                 if let Some(buf) = salvage {
+                    // A record that just died queued the release of its
+                    // region, which holds a buffer handle; run it so
+                    // `retire` sees the buffer's true owners.
+                    drain_releases();
                     if !Rc::ptr_eq(&buf, &self.buf) {
                         self.alloc.retire(buf); // pooled only if unshared
                     }
@@ -1024,6 +1108,7 @@ impl<S: StackSlot, T: TraceSink> ControlStack<S> for SegmentedStack<S, T> {
 
     fn reset(&mut self) {
         self.link = None;
+        self.release_dead_span(self.base);
         if Rc::strong_count(&self.buf) > 1 || self.buf.borrow().len() < self.cfg.segment_slots() {
             let fresh = self
                 .alloc
@@ -1035,11 +1120,22 @@ impl<S: StackSlot, T: TraceSink> ControlStack<S> for SegmentedStack<S, T> {
         self.end = self.buf.borrow().len();
         self.base = 0;
         self.fp = 0;
+        self.hw = 0;
         self.buf.borrow_mut()[0] = S::from_return_address(ReturnAddress::Exit);
     }
 
     fn trace_summaries(&self) -> Vec<(EventKind, segstack_trace::HistSummary)> {
         self.sink.stats()
+    }
+}
+
+impl<S: StackSlot, T: TraceSink> Drop for SegmentedStack<S, T> {
+    fn drop(&mut self) {
+        // The live frames die with the machine; if sealed records keep the
+        // buffer alive, the values in those frames must not keep the
+        // records alive in turn.
+        self.link = None;
+        self.release_dead_span(self.base);
     }
 }
 
@@ -1641,5 +1737,161 @@ mod ablation_tests {
         assert_eq!(sim::unwind_all(&mut stack), 5);
         assert_eq!(stack.reinstate(&k1).unwrap(), ReturnAddress::Code(ras[4]));
         assert_eq!(sim::unwind_all(&mut stack), 5);
+    }
+}
+
+#[cfg(test)]
+mod release_tests {
+    //! The buffer-retention rule: a buffer keeps a heap value only where a
+    //! live frame or a live record can read it. `Probe` is heap data whose
+    //! death the tests observe through a `Weak`.
+
+    use std::rc::Weak;
+
+    use super::*;
+    use crate::addr::TestCode;
+
+    // The payloads are owned, never read: owning is what is under test.
+    #[allow(dead_code)]
+    #[derive(Clone, Debug)]
+    enum KSlot {
+        Empty,
+        Ra(ReturnAddress),
+        K(Continuation<KSlot>),
+        Probe(Rc<()>),
+    }
+
+    impl StackSlot for KSlot {
+        fn from_return_address(ra: ReturnAddress) -> Self {
+            KSlot::Ra(ra)
+        }
+
+        fn as_return_address(&self) -> Option<ReturnAddress> {
+            match self {
+                KSlot::Ra(ra) => Some(*ra),
+                _ => None,
+            }
+        }
+
+        fn empty() -> Self {
+            KSlot::Empty
+        }
+
+        fn holds_heap(&self) -> bool {
+            matches!(self, KSlot::K(_) | KSlot::Probe(_))
+        }
+    }
+
+    fn setup() -> (Rc<TestCode>, SegmentedStack<KSlot>) {
+        let cfg = Config::builder().segment_slots(256).frame_bound(16).copy_bound(32).build();
+        let code = Rc::new(TestCode::new());
+        (code.clone(), SegmentedStack::new(cfg.unwrap(), code).unwrap())
+    }
+
+    fn call(stack: &mut SegmentedStack<KSlot>, code: &TestCode, d: usize) -> CodeAddr {
+        let ra = code.ret_point(d);
+        stack.call(d, ra, 0, true).unwrap();
+        ra
+    }
+
+    fn probe() -> (KSlot, Weak<()>) {
+        let rc = Rc::new(());
+        let weak = Rc::downgrade(&rc);
+        (KSlot::Probe(rc), weak)
+    }
+
+    #[test]
+    fn reset_releases_a_continuation_stored_in_a_dead_frame() {
+        let (code, mut stack) = setup();
+        call(&mut stack, &code, 4);
+        call(&mut stack, &code, 4);
+        // The live frame stores its own continuation: the frame reads it,
+        // and its record shares the frame's buffer.
+        let k = stack.capture();
+        let (p, alive) = probe();
+        stack.set(1, KSlot::K(k));
+        stack.set(2, p);
+        stack.reset();
+        assert!(alive.upgrade().is_none(), "the dead frame's values were released");
+        stack.audit_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_record_dying_inside_a_slot_write_releases_its_region_later() {
+        let (code, mut stack) = setup();
+        let ra0 = call(&mut stack, &code, 4);
+        let k0 = stack.capture();
+        let (p, alive) = probe();
+        stack.set(1, p);
+        call(&mut stack, &code, 4);
+        // k1's region holds the probe. Reinstating k0 leaves k1's record
+        // out of the machine's chain: only `k1` holds it.
+        let k1 = stack.capture();
+        stack.reinstate(&k0).unwrap();
+        stack.set(3, KSlot::K(k1));
+        // Overwriting the last handle drops the record while the buffer is
+        // borrowed for the write; the release must wait, not panic.
+        stack.set(3, KSlot::Empty);
+        assert!(alive.upgrade().is_some(), "the release waits for a cold path");
+        stack.reset();
+        assert!(alive.upgrade().is_none(), "the dead record's region was released");
+        assert_eq!(stack.reinstate(&k0).unwrap(), ReturnAddress::Code(ra0));
+        stack.audit_invariants().unwrap();
+    }
+
+    #[test]
+    fn overflow_releases_the_staging_it_leaves() {
+        let (code, mut stack) = setup();
+        while stack.fp() + 8 <= stack.esp() {
+            call(&mut stack, &code, 8);
+        }
+        // Above the seal and beyond the staged arguments: dead once the
+        // overflowing call moves to a fresh segment.
+        let (p, alive) = probe();
+        stack.set(8 + 5, p);
+        call(&mut stack, &code, 8);
+        assert_eq!(stack.metrics().overflows, 1);
+        assert!(alive.upgrade().is_none(), "staging above the seal was released");
+        stack.audit_invariants().unwrap();
+    }
+
+    #[test]
+    fn records_in_the_live_buffer_survive_every_release() {
+        let (code, mut stack) = setup();
+        let (p, alive) = probe();
+        stack.set(1, p);
+        call(&mut stack, &code, 4);
+        let k = stack.capture();
+        stack.reset();
+        for _ in 0..3 {
+            stack.reinstate(&k).unwrap();
+            assert!(matches!(stack.get(1), KSlot::Probe(_)), "the record's region is intact");
+            stack.reset();
+        }
+        assert!(alive.upgrade().is_some());
+        drop(k);
+        stack.reset();
+        assert!(alive.upgrade().is_none());
+    }
+
+    #[test]
+    fn dropping_the_machine_releases_its_live_frames() {
+        let (code, mut stack) = setup();
+        call(&mut stack, &code, 4);
+        let k = stack.capture();
+        let (p, alive) = probe();
+        stack.set(1, KSlot::K(k));
+        stack.set(2, p);
+        drop(stack);
+        assert!(alive.upgrade().is_none(), "the live frames died with the machine");
+    }
+
+    #[test]
+    fn audit_flags_a_frame_pointer_above_the_high_water_mark() {
+        let (code, mut stack) = setup();
+        call(&mut stack, &code, 4);
+        stack.hw = 0;
+        let err = stack.audit_invariants().unwrap_err();
+        assert!(err.contains("high-water mark"), "{err}");
     }
 }

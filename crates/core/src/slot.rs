@@ -27,6 +27,12 @@ pub trait StackSlot: Clone + Debug + 'static {
 
     /// The filler value used for freshly allocated, unoccupied slots.
     fn empty() -> Self;
+
+    /// Whether this slot may own heap data, so that overwriting it with
+    /// [`empty`](StackSlot::empty) can free something. A stack releasing a
+    /// dead region rewrites only these slots; immediates and return
+    /// addresses stay as they are.
+    fn holds_heap(&self) -> bool;
 }
 
 /// A minimal slot type for tests, simulations and micro-benchmarks.
@@ -75,6 +81,13 @@ impl StackSlot for TestSlot {
     fn empty() -> Self {
         TestSlot::Empty
     }
+
+    /// Integers stand in for heap data: a released slot reads back as
+    /// `Empty`, so a region released while still readable shows up as a
+    /// wrong value in the fuzzer's oracle comparison.
+    fn holds_heap(&self) -> bool {
+        matches!(self, TestSlot::Int(_))
+    }
 }
 
 #[cfg(test)]
@@ -104,5 +117,12 @@ mod tests {
         assert_eq!(TestSlot::empty(), TestSlot::default());
         assert_eq!(TestSlot::Int(5).int(), Some(5));
         assert_eq!(TestSlot::Empty.int(), None);
+    }
+
+    #[test]
+    fn only_integers_count_as_heap_data() {
+        assert!(TestSlot::Int(0).holds_heap());
+        assert!(!TestSlot::Empty.holds_heap());
+        assert!(!TestSlot::Ra(ReturnAddress::Exit).holds_heap());
     }
 }

@@ -334,6 +334,23 @@ impl StackSlot for Value {
     fn empty() -> Self {
         Value::Unspecified
     }
+
+    /// Lists the immediates, so that a new variant counts as heap data
+    /// (the safe default: releasing it is merely redundant).
+    fn holds_heap(&self) -> bool {
+        !matches!(
+            self,
+            Value::Fixnum(_)
+                | Value::Flonum(_)
+                | Value::Bool(_)
+                | Value::Char(_)
+                | Value::Nil
+                | Value::Unspecified
+                | Value::Sym(_)
+                | Value::Primitive(_)
+                | Value::Ra(_)
+        )
+    }
 }
 
 impl From<i64> for Value {

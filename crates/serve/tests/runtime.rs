@@ -35,7 +35,13 @@ fn round_robin_is_fair_across_equal_jobs() {
 #[test]
 fn deadline_cancels_divergent_job_mid_computation() {
     let rt = Runtime::start(RuntimeConfig::with_workers(1).quantum(1_000));
-    let doomed = rt.submit(Request::new(DIVERGE).deadline(Duration::from_millis(40))).unwrap();
+    // The deadline runs from submission, so building the worker's kit
+    // (compiling the prelude: tens of ms in a debug build) must not eat
+    // it: a first job builds the kit, and the deadline leaves many
+    // quanta of slack for the divergent job to start running.
+    let warm = rt.submit(Request::new("(* 6 7)")).unwrap().wait();
+    assert_eq!(warm.result.unwrap(), "42");
+    let doomed = rt.submit(Request::new(DIVERGE).deadline(Duration::from_millis(200))).unwrap();
     let outcome = doomed.wait();
     assert_eq!(outcome.result.unwrap_err(), JobError::DeadlineExceeded);
     // The loop never returns, so the only way to stop it is the engine
@@ -48,7 +54,7 @@ fn deadline_cancels_divergent_job_mid_computation() {
 
     let snap = rt.shutdown();
     assert_eq!(snap.total().deadline_exceeded, 1);
-    assert_eq!(snap.total().completed, 1);
+    assert_eq!(snap.total().completed, 2);
 }
 
 #[test]
