@@ -1,7 +1,7 @@
 //! Prints every experiment table (or the ones named on the command line).
 //!
 //! Run with `cargo run -p segstack-bench --release --bin harness`.
-//! Pass experiment ids (`e01`..`e18`, `a1`..`a3`) to run a subset.
+//! Pass experiment ids (`e01`..`e19`, `a1`..`a3`) to run a subset.
 //! `--json PATH` additionally writes the selected tables as one JSON
 //! document (e.g. the committed `BENCH_PR4.json` regression snapshot).
 //! `--trace-out PATH` additionally runs a canonical continuation-heavy

@@ -866,15 +866,16 @@ fn traced_engine(cfg: &Config, sink: Rc<RefCell<RingSink>>) -> Engine {
         .expect("traced engine construction")
 }
 
-/// E18 — event-tracing overhead: the zero-sized noop sink vs. the
-/// recording ring, on the E1 call workloads and the E16 switch workload.
+/// E18 — event-tracing overhead: an untraced engine vs. one recording
+/// into a ring, on the E1 call workloads and the E16 switch workload.
 pub fn e18_trace_overhead() -> Table {
     let mut t = Table::new(
-        "E18: event-tracing overhead — noop sink vs. recording ring",
-        "instrumentation is a zero-cost generic: with the noop sink the hooks \
-         compile away entirely, so the default build pays nothing; the recording \
-         ring prices every capture/reinstate/overflow/underflow at one ring write",
-        &["workload", "sink", "time", "overhead", "events recorded", "events dropped"],
+        "E18: event-tracing overhead — untraced vs. traced (recording ring)",
+        "every event site sits off the call/return path and both engines run the \
+         same statically dispatched segmented stack, so call-only work costs the \
+         same traced or not; the recording ring prices every \
+         capture/reinstate/overflow/underflow at one ring write",
+        &["workload", "tracing", "time", "overhead", "events recorded", "events dropped"],
     );
     let e16_cfg =
         Config::builder().segment_slots(2048).frame_bound(64).copy_bound(128).build().unwrap();
@@ -887,53 +888,53 @@ pub fn e18_trace_overhead() -> Table {
     let reps = 5;
     for (name, src, cfg) in workloads {
         // One warm pass off the measured engines, then interleaved
-        // noop/ring pairs: the host allocator's state drifts over a long
-        // harness run, so only a ratio taken *within* a pair isolates the
-        // sink cost — the median pair ratio is the reported overhead.
+        // untraced/traced pairs: the host allocator's state drifts over a
+        // long harness run, so only a ratio taken *within* a pair isolates
+        // the tracing cost — the median pair ratio is the reported overhead.
         engine(Strategy::Segmented, &cfg, CheckPolicy::Elide).eval(&src).expect("warmup");
         let sink = Rc::new(RefCell::new(RingSink::new()));
-        let mut noop_best = f64::MAX;
-        let mut ring_best = f64::MAX;
+        let mut untraced_best = f64::MAX;
+        let mut traced_best = f64::MAX;
         let mut ratios = Vec::with_capacity(reps);
         for rep in 0..reps {
-            // Alternate which sink runs first within the pair, so any
+            // Alternate which engine runs first within the pair, so any
             // monotone drift inside a pair biases half the ratios up and
             // half down — the median cancels it.
-            let run_noop = |_: usize| {
+            let run_untraced = |_: usize| {
                 let mut e = engine(Strategy::Segmented, &cfg, CheckPolicy::Elide);
                 measure(&mut e, "", &src)
             };
-            let run_ring = |_: usize| {
+            let run_traced = |_: usize| {
                 sink.borrow_mut().reset();
                 let mut e = traced_engine(&cfg, sink.clone());
                 measure(&mut e, "", &src)
             };
-            let (noop, ring) = if rep % 2 == 0 {
-                let n = run_noop(rep);
-                (n, run_ring(rep))
+            let (untraced, traced) = if rep % 2 == 0 {
+                let u = run_untraced(rep);
+                (u, run_traced(rep))
             } else {
-                let r = run_ring(rep);
-                (run_noop(rep), r)
+                let t = run_traced(rep);
+                (run_untraced(rep), t)
             };
-            noop_best = noop_best.min(noop.nanos);
-            ring_best = ring_best.min(ring.nanos);
-            ratios.push(ring.nanos / noop.nanos);
+            untraced_best = untraced_best.min(untraced.nanos);
+            traced_best = traced_best.min(traced.nanos);
+            ratios.push(traced.nanos / untraced.nanos);
         }
         ratios.sort_by(f64::total_cmp);
         let overhead = (ratios[reps / 2] - 1.0) * 100.0;
         let (recorded, dropped) = (sink.borrow().total_recorded(), sink.borrow().dropped());
         t.row([
             name.to_string(),
-            "noop".to_string(),
-            fmt_ns(noop_best),
+            "untraced".to_string(),
+            fmt_ns(untraced_best),
             "(baseline)".to_string(),
             "0".to_string(),
             "0".to_string(),
         ]);
         t.row([
             name.to_string(),
-            "ring".to_string(),
-            fmt_ns(ring_best),
+            "traced".to_string(),
+            fmt_ns(traced_best),
             format!("{overhead:+.1}%"),
             recorded.to_string(),
             dropped.to_string(),
@@ -949,9 +950,9 @@ pub fn e18_trace_overhead() -> Table {
             aggregates (counts, histograms) survive any number of drops",
     );
     t.note(
-        "overhead is the median of per-pair time ratios (noop and ring measured \
-            back-to-back), which cancels allocator drift across a long harness run; \
-            times shown are each sink's best rep",
+        "overhead is the median of per-pair time ratios (untraced and traced \
+            measured back-to-back), which cancels allocator drift across a long \
+            harness run; times shown are each engine's best rep",
     );
     t
 }

@@ -1,20 +1,21 @@
 //! # segstack-bench
 //!
 //! The benchmark harness reproducing every experiment of *Representing
-//! Control in the Presence of First-Class Continuations* (see DESIGN.md §4
-//! for the experiment index E1–E14, each mapped to a paper figure or
-//! claim).
+//! Control in the Presence of First-Class Continuations*: E1–E19 and the
+//! ablations A1–A3. DESIGN.md §4 maps E1–E14 and A1–A3 to the paper's
+//! figures and claims; EXPERIMENTS.md records the measured shape of each.
 //!
-//! Two entry points:
+//! Three entry points:
 //!
 //! * `cargo run -p segstack-bench --release --bin harness [e01 e09 ...]` —
 //!   prints every experiment table (or just the selected ones), with both
-//!   wall-clock times and architecture-independent counters.
-//! * `cargo bench -p segstack-bench` — Criterion microbenchmarks of the key
-//!   comparisons, with statistical rigor.
+//!   wall-clock times and architecture-independent counters; `--json
+//!   PATH` also writes them as a machine-readable snapshot.
 //! * `cargo run -p segstack-bench --release --bin loadgen -- --workers 4` —
 //!   drives a mixed workload through the `segstack-serve` runtime and
 //!   reports throughput, latency percentiles and fairness.
+//! * `cargo run -p segstack-bench --release --bin compare -- -e EXPR` —
+//!   runs one program on all six strategies and prints their counters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,10 +5,13 @@
 //! path is about, so a regression that silently sends one-shot
 //! reinstatements back down the copy path fails `cargo test` anywhere.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use segstack_baselines::Strategy;
-use segstack_core::{sim, Config, ControlStack, SegmentedStack, TestCode, TestSlot};
+use segstack_core::{
+    sim, Config, ControlStack, EventKind, RingSink, SegmentedStack, TestCode, TestSlot,
+};
 use segstack_scheme::Engine;
 
 /// The E17 core shape: a uniquely-owned one-shot tower reinstated from a
@@ -179,4 +182,35 @@ fn inline_caches_invalidate_on_global_redefinition() {
         e.metrics().ic_misses,
         warm_misses
     );
+}
+
+/// Engine-level trace gate: a traced default engine runs the very machine
+/// an untraced one does — equal `Metrics` after continuation, relink and
+/// overflow work — and its ring holds exactly one event per counted
+/// capture, overflow, underflow and relink.
+#[test]
+fn traced_engine_matches_untraced_and_its_events_match_metrics() {
+    let ring = Rc::new(RefCell::new(RingSink::new()));
+    let mut untraced = Engine::new().unwrap();
+    let mut traced = Engine::builder().trace_sink(ring.clone()).build().unwrap();
+    for src in [
+        segstack_bench::workloads::ctak(12, 8, 4),
+        segstack_bench::workloads::pingpong("%call/1cc", 600, 500),
+        segstack_bench::workloads::deep_sum(50_000),
+    ] {
+        let want = untraced.eval_to_string(&src).unwrap();
+        assert_eq!(traced.eval_to_string(&src).unwrap(), want, "traced result");
+    }
+    let m = traced.metrics();
+    assert_eq!(untraced.metrics(), m, "tracing must not change what the machine does");
+    let ring = ring.borrow();
+    for (kind, counter) in [
+        (EventKind::Capture, m.captures),
+        (EventKind::OverflowBegin, m.overflows),
+        (EventKind::Underflow, m.underflows),
+        (EventKind::Relink, m.reinstates_relinked),
+    ] {
+        assert!(counter > 0, "the workloads must exercise {}", kind.name());
+        assert_eq!(ring.kind_count(kind), counter, "{} events vs. Metrics", kind.name());
+    }
 }

@@ -27,6 +27,9 @@ use crate::libs;
 #[derive(Debug)]
 pub struct Control {
     engine: Engine,
+    /// The quantum driver's top-level chunk, compiled on the first
+    /// [`Control::step_job`] and rerun by every later one.
+    pub(crate) driver: Option<u32>,
 }
 
 impl Control {
@@ -81,7 +84,7 @@ impl Control {
         for (_, src) in libs::ALL {
             engine.eval(src)?;
         }
-        Ok(Control { engine })
+        Ok(Control { engine, driver: None })
     }
 
     /// The underlying engine.

@@ -59,6 +59,13 @@ pub enum Step {
     Expired,
 }
 
+/// One quantum of the job bound to `%step-job-engine`: runs it for
+/// `%step-job-quantum` ticks and tags the outcome. Compiled once per kit
+/// and rerun every quantum, so stepping a job adds no code to the store.
+const STEP_DRIVER: &str = "(%step-job-engine %step-job-quantum
+   (lambda (value leftover) (vector 'done value leftover))
+   (lambda (rest) (vector 'expired rest)))";
+
 impl Control {
     /// Compiles `program` (one or more top-level forms) into a suspended
     /// engine without running any of it. Top-level `define`s in the
@@ -87,11 +94,16 @@ impl Control {
     pub fn step_job(&mut self, job: &mut EngineJob, quantum: u64) -> Result<Step, SchemeError> {
         let quantum = quantum.clamp(1, i64::MAX as u64);
         self.engine().define("%step-job-engine", job.eng.clone());
-        let v = self.eval(&format!(
-            "(%step-job-engine {quantum}
-               (lambda (value leftover) (vector 'done value leftover))
-               (lambda (rest) (vector 'expired rest)))"
-        ));
+        self.engine().define("%step-job-quantum", Value::Fixnum(quantum as i64));
+        let driver = match self.driver {
+            Some(chunk) => chunk,
+            None => {
+                let chunk = self.engine().compile(STEP_DRIVER)?.expect("the driver is one form");
+                self.driver = Some(chunk);
+                chunk
+            }
+        };
+        let v = self.engine().run(driver);
         job.quanta += 1;
         let v = match v {
             Ok(v) => v,
@@ -252,6 +264,20 @@ mod tests {
         let mut after = k.spawn_job("'alive").unwrap();
         let (value, _) = k.run_job(&mut after, 100).unwrap();
         assert_eq!(value.to_string(), "alive");
+    }
+
+    #[test]
+    fn stepping_compiles_no_code_per_quantum() {
+        let mut k = kit();
+        let mut job =
+            k.spawn_job("(let loop ((i 100000)) (if (= i 0) 'done (loop (- i 1))))").unwrap();
+        // The first quantum compiles the driver; no later one adds a chunk.
+        assert!(matches!(k.step_job(&mut job, 100).unwrap(), Step::Expired));
+        let chunks = k.engine().chunk_count();
+        for _ in 0..50 {
+            assert!(matches!(k.step_job(&mut job, 100).unwrap(), Step::Expired));
+        }
+        assert_eq!(k.engine().chunk_count(), chunks, "a quantum must not compile code");
     }
 
     #[test]

@@ -71,13 +71,12 @@ mod slot;
 mod traits;
 pub mod walker;
 
-/// The observability layer ([`TraceSink`], ring buffers, histograms,
-/// Chrome/Perfetto export), re-exported for downstream crates.
+/// The observability layer (the recording ring and its `emit` helper,
+/// histograms, Chrome/Perfetto export), re-exported for downstream crates.
 pub use segstack_trace as trace;
-/// Key tracing types, re-exported at the crate root: the sink trait the
-/// segmented stack is generic over, its zero-cost disabled form, the
-/// recording ring, and the event vocabulary.
-pub use segstack_trace::{EventKind, NoopSink, RingSink, TraceSink};
+/// Key tracing types, re-exported at the crate root: the recording ring
+/// a traced [`SegmentedStack`] writes into, and the event vocabulary.
+pub use segstack_trace::{EventKind, RingSink};
 
 pub use addr::{CodeAddr, FrameSizeTable, ReturnAddress, TestCode};
 pub use config::{Config, ConfigBuilder};

@@ -13,7 +13,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use segstack_trace::{EventKind, NoopSink, TraceSink};
+use segstack_trace::{emit, EventKind, RingSink};
 
 use crate::addr::{CodeAddr, FrameSizeTable, ReturnAddress};
 use crate::config::Config;
@@ -180,14 +180,14 @@ impl<S: StackSlot> KontRepr<S> for SegKont<S> {
 ///
 /// # Tracing
 ///
-/// The second type parameter is a [`TraceSink`] the machine emits
-/// observability events into (capture/reinstate/relink/overflow/underflow
-/// with per-event cost payloads). It defaults to [`NoopSink`], a
-/// zero-sized sink whose `emit` compiles to nothing, so the untraced
-/// machine pays no cost — not even a branch. Pass a
-/// [`RingSink`](segstack_trace::RingSink) (or a shared
-/// `Rc<RefCell<RingSink>>`) to [`SegmentedStack::with_sink`] to record.
-pub struct SegmentedStack<S: StackSlot, T: TraceSink = NoopSink> {
+/// A machine built by [`SegmentedStack::with_sink`] with a ring records
+/// observability events into it (capture/reinstate/relink/overflow/
+/// underflow/split/segment allocation, with per-event cost payloads)
+/// through [`segstack_trace::emit`]. Every event site is off the
+/// call/return path: `call`, `get`, `set`, `tail_call` and a
+/// code-address `ret` never test the sink, so a traced machine costs
+/// what an untraced one does until an event fires.
+pub struct SegmentedStack<S: StackSlot> {
     code: Rc<dyn FrameSizeTable>,
     cfg: Config,
     alloc: SegmentAllocator<S>,
@@ -210,11 +210,11 @@ pub struct SegmentedStack<S: StackSlot, T: TraceSink = NoopSink> {
     /// Link field of the current stack record.
     link: Option<Continuation<S>>,
     metrics: Metrics,
-    /// Trace-event destination; [`NoopSink`] by default.
-    sink: T,
+    /// Trace-event destination; `None` when untraced.
+    sink: Option<Rc<RefCell<RingSink>>>,
 }
 
-impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
+impl<S: StackSlot> SegmentedStack<S> {
     /// Creates a segmented stack with an initial segment of
     /// `cfg.segment_slots()` slots whose base holds the exit routine.
     ///
@@ -222,18 +222,21 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
     ///
     /// Returns [`StackError::OutOfStackMemory`] if a configured budget
     /// cannot cover the initial segment.
-    pub fn new(cfg: Config, code: Rc<dyn FrameSizeTable>) -> Result<Self, StackError>
-    where
-        T: Default,
-    {
-        SegmentedStack::with_sink(cfg, code, T::default())
+    pub fn new(cfg: Config, code: Rc<dyn FrameSizeTable>) -> Result<Self, StackError> {
+        SegmentedStack::with_sink(cfg, code, None)
     }
 
-    /// Like [`SegmentedStack::new`], recording trace events into `sink`.
+    /// Like [`SegmentedStack::new`], recording trace events into `sink`
+    /// when it is `Some`. The caller keeps its own handle to the ring to
+    /// read or drain it.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SegmentedStack::new`].
     pub fn with_sink(
         cfg: Config,
         code: Rc<dyn FrameSizeTable>,
-        sink: T,
+        sink: Option<Rc<RefCell<RingSink>>>,
     ) -> Result<Self, StackError> {
         let mut metrics = Metrics::new();
         let mut alloc = SegmentAllocator::new(&cfg);
@@ -253,16 +256,6 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
             metrics,
             sink,
         })
-    }
-
-    /// The trace sink (shared access, e.g. for readouts in tests).
-    pub fn sink(&self) -> &T {
-        &self.sink
-    }
-
-    /// The trace sink, mutably (e.g. to drain a ring).
-    pub fn sink_mut(&mut self) -> &mut T {
-        &mut self.sink
     }
 
     /// The active configuration.
@@ -321,10 +314,11 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
     fn overflow_call(&mut self, d: usize, ra: CodeAddr, nargs: usize) -> Result<(), StackError> {
         self.metrics.overflows += 1;
         let seal_top = self.fp + d;
-        self.sink.emit(EventKind::OverflowBegin, (seal_top - self.base) as u64, nargs as u64);
+        emit(&self.sink, EventKind::OverflowBegin, (seal_top - self.base) as u64, nargs as u64);
         let reused_before = self.metrics.segments_reused;
         let newbuf = self.alloc.alloc(self.cfg.segment_slots(), &mut self.metrics)?;
-        self.sink.emit(
+        emit(
+            &self.sink,
             EventKind::SegmentAlloc,
             newbuf.borrow().len() as u64,
             (self.metrics.segments_reused > reused_before) as u64,
@@ -356,7 +350,7 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
         self.fp = 0;
         self.hw = 0;
         self.link = Some(k);
-        self.sink.emit(EventKind::OverflowEnd, nargs as u64, newlen as u64);
+        emit(&self.sink, EventKind::OverflowEnd, nargs as u64, newlen as u64);
         Ok(())
     }
 
@@ -396,7 +390,7 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
         s.link = Some(Continuation::from_repr(Rc::new(SegKont(RefCell::new(bottom)))));
         self.metrics.splits += 1;
         self.metrics.stack_records_allocated += 1;
-        self.sink.emit(EventKind::Split, deferred as u64, 0);
+        emit(&self.sink, EventKind::Split, deferred as u64, 0);
     }
 
     /// Zero-copy reinstatement: the relink fast path.
@@ -524,7 +518,7 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
         self.link = link;
         self.metrics.reinstates_relinked += 1;
         self.metrics.slots_copy_avoided += size as u64;
-        self.sink.emit(EventKind::Relink, size as u64, same_buffer as u64);
+        emit(&self.sink, EventKind::Relink, size as u64, same_buffer as u64);
         Some(ReturnAddress::Code(ra))
     }
 
@@ -556,7 +550,7 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
                 return Ok(ra);
             }
         }
-        if !self.sink.enabled() {
+        if self.sink.is_none() {
             return self.reinstate_inner(k);
         }
         // Span-paired: the end event carries the realized cost (slots
@@ -567,10 +561,10 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
             .as_any()
             .downcast_ref::<SegKont<S>>()
             .map_or(0, |sk| sk.0.borrow().size as u64);
-        self.sink.emit(EventKind::ReinstateBegin, target_size, owned as u64);
+        emit(&self.sink, EventKind::ReinstateBegin, target_size, owned as u64);
         let copied_before = self.metrics.slots_copied;
         let result = self.reinstate_inner(k);
-        self.sink.emit(EventKind::ReinstateEnd, self.metrics.slots_copied - copied_before, 0);
+        emit(&self.sink, EventKind::ReinstateEnd, self.metrics.slots_copied - copied_before, 0);
         result
     }
 
@@ -638,7 +632,8 @@ impl<S: StackSlot, T: TraceSink> SegmentedStack<S, T> {
             let reused_before = self.metrics.segments_reused;
             let newbuf = self.alloc.alloc(size + self.cfg.esp_reserve(), &mut self.metrics)?;
             let newlen = newbuf.borrow().len();
-            self.sink.emit(
+            emit(
+                &self.sink,
                 EventKind::SegmentAlloc,
                 newlen as u64,
                 (self.metrics.segments_reused > reused_before) as u64,
@@ -861,7 +856,7 @@ fn audit_base_word<S: StackSlot>(
     }
 }
 
-impl<S: StackSlot, T: TraceSink> ControlStack<S> for SegmentedStack<S, T> {
+impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
     fn name(&self) -> &'static str {
         "segmented"
     }
@@ -933,13 +928,13 @@ impl<S: StackSlot, T: TraceSink> ControlStack<S> for SegmentedStack<S, T> {
                 debug_assert_eq!(self.fp, self.base, "underflow handler off the segment base");
                 self.metrics.underflows += 1;
                 let k = self.link.take().expect("underflow with no linked continuation");
-                if self.sink.enabled() {
+                if self.sink.is_some() {
                     let size = k
                         .repr()
                         .as_any()
                         .downcast_ref::<SegKont<S>>()
                         .map_or(0, |sk| sk.0.borrow().size as u64);
-                    self.sink.emit(EventKind::Underflow, size, 0);
+                    emit(&self.sink, EventKind::Underflow, size, 0);
                 }
                 // The taken link is owned: it dies at the end of this arm,
                 // so the relink fast path may consume the record.
@@ -983,7 +978,7 @@ impl<S: StackSlot, T: TraceSink> ControlStack<S> for SegmentedStack<S, T> {
                 // serves as the new continuation" (§4). This is what keeps
                 // `(define (looper) (call/cc (lambda (k) (looper))))` in
                 // constant space.
-                self.sink.emit(EventKind::Capture, 0, 1);
+                emit(&self.sink, EventKind::Capture, 0, 1);
                 return self.link.clone().unwrap_or_else(Continuation::exit);
             }
             // Ablation: the naive behaviour the paper warns against — chain
@@ -1001,7 +996,7 @@ impl<S: StackSlot, T: TraceSink> ControlStack<S> for SegmentedStack<S, T> {
             self.metrics.stack_records_allocated += 1;
             let k = Continuation::from_repr(Rc::new(SegKont(RefCell::new(sealed))));
             self.link = Some(k.clone());
-            self.sink.emit(EventKind::Capture, 0, 0);
+            emit(&self.sink, EventKind::Capture, 0, 0);
             return k;
         }
         let live_ra = self.buf.borrow()[self.fp]
@@ -1020,7 +1015,7 @@ impl<S: StackSlot, T: TraceSink> ControlStack<S> for SegmentedStack<S, T> {
         self.metrics.stack_records_allocated += 1;
         let k = Continuation::from_repr(Rc::new(SegKont(RefCell::new(sealed))));
         self.buf.borrow_mut()[self.fp] = S::from_return_address(ReturnAddress::Underflow);
-        self.sink.emit(EventKind::Capture, (self.fp - self.base) as u64, 0);
+        emit(&self.sink, EventKind::Capture, (self.fp - self.base) as u64, 0);
         self.base = self.fp;
         self.link = Some(k.clone());
         k
@@ -1125,11 +1120,11 @@ impl<S: StackSlot, T: TraceSink> ControlStack<S> for SegmentedStack<S, T> {
     }
 
     fn trace_summaries(&self) -> Vec<(EventKind, segstack_trace::HistSummary)> {
-        self.sink.stats()
+        self.sink.as_ref().map_or_else(Vec::new, |ring| ring.borrow().summaries())
     }
 }
 
-impl<S: StackSlot, T: TraceSink> Drop for SegmentedStack<S, T> {
+impl<S: StackSlot> Drop for SegmentedStack<S> {
     fn drop(&mut self) {
         // The live frames die with the machine; if sealed records keep the
         // buffer alive, the values in those frames must not keep the
@@ -1139,7 +1134,7 @@ impl<S: StackSlot, T: TraceSink> Drop for SegmentedStack<S, T> {
     }
 }
 
-impl<S: StackSlot, T: TraceSink> fmt::Debug for SegmentedStack<S, T> {
+impl<S: StackSlot> fmt::Debug for SegmentedStack<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SegmentedStack")
             .field("base", &self.base)

@@ -163,10 +163,10 @@ pub trait ControlStack<S: StackSlot> {
     }
 
     /// Per-event-kind histogram readouts from the strategy's attached
-    /// trace sink, if any. Strategies without tracing (the baselines) and
-    /// machines built on the zero-cost [`NoopSink`](crate::NoopSink)
-    /// return an empty vector. This is how `(trace-stats)` in the Scheme
-    /// layer reads the machine's own event aggregates.
+    /// trace ring, if any. Strategies without tracing (the baselines) and
+    /// untraced segmented stacks return an empty vector. This is how
+    /// `(trace-stats)` in the Scheme layer reads the machine's own event
+    /// aggregates.
     fn trace_summaries(&self) -> Vec<(EventKind, HistSummary)> {
         Vec::new()
     }

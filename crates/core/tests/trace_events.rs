@@ -1,19 +1,18 @@
 //! The tracing counter gate: the observability layer must not perturb
 //! the machine.
 //!
-//! The same deterministic workload runs twice — once on the zero-cost
-//! [`NoopSink`] and once on a recording [`RingSink`] — and every
-//! architecture-independent counter must come out identical. The ring
-//! run is then cross-checked: event counts must agree with the metrics,
-//! per-event payloads must respect the paper's bounds, and the exported
-//! Chrome trace must validate.
+//! The same deterministic workload runs twice — once untraced and once
+//! recording into a [`RingSink`] — and every architecture-independent
+//! counter must come out identical. The traced run is then
+//! cross-checked: event counts must agree with the metrics, per-event
+//! payloads must respect the paper's bounds, and the exported Chrome
+//! trace must validate.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
-use segstack_core::trace::{
-    chrome_trace_json, validate_chrome_trace, EventKind, RingSink, TraceSink,
-};
-use segstack_core::{sim, Config, ControlStack, NoopSink, SegmentedStack, TestCode, TestSlot};
+use segstack_core::trace::{chrome_trace_json, validate_chrome_trace, EventKind, RingSink};
+use segstack_core::{sim, Config, ControlStack, SegmentedStack, TestCode, TestSlot};
 
 fn small_cfg() -> Config {
     Config::builder().segment_slots(256).frame_bound(16).copy_bound(32).build().unwrap()
@@ -22,7 +21,7 @@ fn small_cfg() -> Config {
 /// A workload exercising every traced path: deep calls (overflow +
 /// segment alloc), capture, multi-shot reinstate (bounded copy + split),
 /// one-shot reinstate (relink), and a full unwind (underflow).
-fn workload<T: TraceSink + 'static>(stack: &mut SegmentedStack<TestSlot, T>, code: &TestCode) {
+fn workload(stack: &mut SegmentedStack<TestSlot>, code: &TestCode) {
     // Overflow phase: deep calls overflow several 256-slot segments,
     // then unwind back through every sealed record (underflows).
     sim::push_frames(stack, code, 120, 8);
@@ -46,49 +45,37 @@ fn workload<T: TraceSink + 'static>(stack: &mut SegmentedStack<TestSlot, T>, cod
     sim::unwind_all(stack);
 }
 
-#[test]
-fn noop_sink_is_zero_sized() {
-    assert_eq!(std::mem::size_of::<NoopSink>(), 0);
-    // The defaulted parameter *is* the noop machine: same type, no
-    // hidden recording state.
-    assert_eq!(
-        std::mem::size_of::<SegmentedStack<TestSlot>>(),
-        std::mem::size_of::<SegmentedStack<TestSlot, NoopSink>>(),
-    );
+/// Runs the workload on a machine recording into a fresh ring, returning
+/// both (the test keeps its own handle to the ring).
+fn traced_run(cfg: Config) -> (SegmentedStack<TestSlot>, Rc<RefCell<RingSink>>) {
+    let code = Rc::new(TestCode::new());
+    let ring = Rc::new(RefCell::new(RingSink::new()));
+    let mut stack =
+        SegmentedStack::<TestSlot>::with_sink(cfg, code.clone(), Some(ring.clone())).unwrap();
+    workload(&mut stack, &code);
+    (stack, ring)
 }
 
 #[test]
-fn noop_and_ring_runs_produce_identical_metrics() {
+fn untraced_and_traced_runs_produce_identical_metrics() {
     let code = Rc::new(TestCode::new());
-    let mut noop = SegmentedStack::<TestSlot>::new(small_cfg(), code.clone()).unwrap();
-    workload(&mut noop, &code);
-
-    let code2 = Rc::new(TestCode::new());
-    let mut ring = SegmentedStack::<TestSlot, RingSink>::with_sink(
-        small_cfg(),
-        code2.clone(),
-        RingSink::new(),
-    )
-    .unwrap();
-    workload(&mut ring, &code2);
+    let mut untraced = SegmentedStack::<TestSlot>::new(small_cfg(), code.clone()).unwrap();
+    workload(&mut untraced, &code);
+    let (traced, ring) = traced_run(small_cfg());
 
     assert_eq!(
-        noop.metrics(),
-        ring.metrics(),
+        untraced.metrics(),
+        traced.metrics(),
         "recording events must not change what the machine does"
     );
-    assert!(ring.sink().total_recorded() > 0, "the ring run must actually record");
+    assert!(ring.borrow().total_recorded() > 0, "the traced run must actually record");
 }
 
 #[test]
 fn event_counts_cross_check_against_metrics() {
-    let code = Rc::new(TestCode::new());
-    let mut stack =
-        SegmentedStack::<TestSlot, RingSink>::with_sink(small_cfg(), code.clone(), RingSink::new())
-            .unwrap();
-    workload(&mut stack, &code);
+    let (stack, ring) = traced_run(small_cfg());
     let m = stack.metrics().clone();
-    let ring = stack.sink();
+    let ring = ring.borrow();
 
     assert_eq!(ring.kind_count(EventKind::Capture), m.captures);
     // Relinked switches write a single packed Relink event; the Begin/End
@@ -112,14 +99,9 @@ fn event_counts_cross_check_against_metrics() {
 
 #[test]
 fn per_event_payloads_respect_the_paper_bounds() {
-    let cfg = small_cfg();
     let bound = 32u64; // max(copy_bound=32, frame_bound=16)
-    let code = Rc::new(TestCode::new());
-    let mut stack =
-        SegmentedStack::<TestSlot, RingSink>::with_sink(cfg, code.clone(), RingSink::new())
-            .unwrap();
-    workload(&mut stack, &code);
-    let ring = stack.sink();
+    let (_stack, ring) = traced_run(small_cfg());
+    let ring = ring.borrow();
     // ReinstateEnd's first payload word is slots copied: Figures 6–7 say
     // every single reinstatement is bounded, and the histogram's max is
     // exactly that per-event assertion.
@@ -135,12 +117,8 @@ fn per_event_payloads_respect_the_paper_bounds() {
 
 #[test]
 fn core_trace_exports_as_valid_chrome_json() {
-    let code = Rc::new(TestCode::new());
-    let mut stack =
-        SegmentedStack::<TestSlot, RingSink>::with_sink(small_cfg(), code.clone(), RingSink::new())
-            .unwrap();
-    workload(&mut stack, &code);
-    let trace = stack.sink_mut().take_trace("core-workload", 1);
+    let (_stack, ring) = traced_run(small_cfg());
+    let trace = ring.borrow_mut().take_trace("core-workload", 1);
     let doc = chrome_trace_json(&[trace]);
     let stats = validate_chrome_trace(&doc).expect("exported trace must validate");
     assert!(stats.spans > 0, "reinstate/overflow spans must appear");

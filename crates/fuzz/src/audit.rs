@@ -22,11 +22,12 @@
 //! divergence means an instrumentation hook was skipped or
 //! double-fired on some path the fuzzer found.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 
 use segstack_core::trace::EventKind;
-use segstack_core::{ControlStack, RingSink, SegmentedStack, TestSlot};
+use segstack_core::{ControlStack, Metrics, RingSink, SegmentedStack, TestSlot};
 
 use crate::driver::{apply_op, drain, CompiledTrace};
 use crate::trace::{Op, TraceSpec};
@@ -56,10 +57,11 @@ fn audit_loop(
     compiled: &CompiledTrace,
     at_op: &Cell<usize>,
 ) -> Result<(), String> {
-    let mut stack = SegmentedStack::<TestSlot, RingSink>::with_sink(
+    let ring = Rc::new(RefCell::new(RingSink::new()));
+    let mut stack = SegmentedStack::<TestSlot>::with_sink(
         spec.config(),
         compiled.code.clone(),
-        RingSink::new(),
+        Some(ring.clone()),
     )
     .map_err(|e| format!("audit: cannot build segmented stack: {e}"))?;
     let reinstate_bound = spec.copy_bound.max(spec.frame_bound) as u64;
@@ -174,15 +176,14 @@ fn audit_loop(
             spec.copy_bound.max(spec.frame_bound)
         ));
     }
-    cross_check_events(&stack)
+    let events = ring.borrow();
+    cross_check_events(stack.metrics(), &events)
 }
 
 /// Event-vs-metrics cross-check: each traced operation must have emitted
 /// exactly as many events as the machine counted (segment allocations are
 /// `<=` because the untraced constructor/reset sites also allocate).
-fn cross_check_events(stack: &SegmentedStack<TestSlot, RingSink>) -> Result<(), String> {
-    let m = stack.metrics();
-    let ring = stack.sink();
+fn cross_check_events(m: &Metrics, ring: &RingSink) -> Result<(), String> {
     // Relinked switches get a single packed `Relink` write; only the copy
     // path opens a Begin/End span.
     let copy_reinstates = m.reinstatements - m.reinstates_relinked;

@@ -110,22 +110,12 @@ impl EngineBuilder {
         let store = Rc::new(CodeStore::new());
         let mut globals = Globals::new();
         primitives::install(&mut globals);
-        let stack = match (self.trace_sink, self.strategy) {
-            (Some(sink), Strategy::Segmented) => EngineStack::Dyn(Box::new(SegmentedStack::<
-                Value,
-                Rc<RefCell<RingSink>>,
-            >::with_sink(
+        let stack = match self.strategy {
+            Strategy::Segmented => EngineStack::Seg(Box::new(SegmentedStack::with_sink(
                 self.config.clone(),
                 store.clone(),
-                sink,
+                self.trace_sink,
             )?)),
-            // The untraced segmented stack — the default configuration and
-            // the one every benchmark's hot path runs on — is held
-            // concretely so the interpreter loop monomorphizes over it
-            // (static dispatch on every push/pop/check).
-            (None, Strategy::Segmented) => {
-                EngineStack::Seg(Box::new(SegmentedStack::new(self.config.clone(), store.clone())?))
-            }
             _ => {
                 EngineStack::Dyn(self.strategy.build::<Value>(self.config.clone(), store.clone())?)
             }
@@ -152,14 +142,15 @@ impl EngineBuilder {
     }
 }
 
-/// The engine's control stack: the default segmented strategy is stored
-/// concretely so the VM monomorphizes over it; every other configuration
-/// (baseline strategies, traced segmented) goes through dynamic dispatch.
+/// The engine's control stack: the segmented strategy, traced or not, is
+/// stored concretely so the VM monomorphizes over it (static dispatch on
+/// every push, pop and check); the five baselines go through dynamic
+/// dispatch.
 enum EngineStack {
-    /// Untraced segmented stack, statically dispatched (boxed only to keep
-    /// the enum small; the VM still monomorphizes over the concrete type).
+    /// The segmented stack, statically dispatched (boxed only to keep the
+    /// enum small; the VM still monomorphizes over the concrete type).
     Seg(Box<SegmentedStack<Value>>),
-    /// Any other strategy (or a traced segmented stack), type-erased.
+    /// One of the five baseline strategies, type-erased.
     Dyn(Box<dyn ControlStack<Value>>),
 }
 
@@ -235,7 +226,7 @@ impl Engine {
     }
 
     /// Reads, compiles and runs `src` as one program unit, returning the
-    /// last form's value.
+    /// last form's value: [`Engine::compile`], then [`Engine::run`].
     ///
     /// The whole input is compiled together (top-level forms splice as if
     /// wrapped in `begin`), so a continuation captured in one form re-enters
@@ -246,9 +237,22 @@ impl Engine {
     /// Lexing, parsing, compilation or runtime errors. On error the control
     /// stack is reset (metrics are preserved).
     pub fn eval(&mut self, src: &str) -> Result<Value, SchemeError> {
+        match self.compile(src)? {
+            Some(chunk) => self.run(chunk),
+            None => Ok(Value::Unspecified),
+        }
+    }
+
+    /// Reads and compiles `src` as one program unit without running it,
+    /// returning its top-level chunk, or `None` if `src` holds no forms.
+    ///
+    /// # Errors
+    ///
+    /// Lexing, parsing or compilation errors; nothing has run.
+    pub fn compile(&mut self, src: &str) -> Result<Option<u32>, SchemeError> {
         let forms = read_all(src)?;
         if forms.is_empty() {
-            return Ok(Value::Unspecified);
+            return Ok(None);
         }
         let unit = if forms.len() == 1 {
             forms.into_iter().next().expect("length checked")
@@ -264,6 +268,22 @@ impl Engine {
             &mut self.globals,
             &self.copts,
         )?;
+        Ok(Some(chunk))
+    }
+
+    /// Runs a top-level chunk [`Engine::compile`] returned, and returns its
+    /// value. A chunk may run any number of times: each run makes fresh
+    /// closures for its lambdas and reads the globals as they are then.
+    ///
+    /// # Errors
+    ///
+    /// Runtime errors, carrying a backtrace. On error the control stack is
+    /// reset (metrics are preserved).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk` is not a chunk of this engine.
+    pub fn run(&mut self, chunk: u32) -> Result<Value, SchemeError> {
         let result = match &mut self.stack {
             EngineStack::Seg(stack) => run(
                 &mut **stack,
@@ -1022,6 +1042,14 @@ mod trace_stats_tests {
         );
         // The engine-side handle sees the same ring the VM wrote through.
         assert!(sink.borrow().total_recorded() > 0);
+    }
+
+    #[test]
+    fn traced_and_untraced_segmented_engines_dispatch_statically() {
+        let sink = Rc::new(RefCell::new(RingSink::new()));
+        for e in [Engine::new().unwrap(), Engine::builder().trace_sink(sink).build().unwrap()] {
+            assert!(matches!(e.stack, EngineStack::Seg(_)));
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use segstack_baselines::Strategy;
 use segstack_control::{Control, EngineJob, Step};
-use segstack_core::trace::{EventKind, RingSink};
+use segstack_core::trace::{emit, EventKind, RingSink};
 
 use crate::job::{JobError, JobOutcome, JobSpec};
 use crate::metrics::WorkerMetrics;
@@ -34,9 +34,6 @@ struct Active {
     spec: JobSpec,
     engine_job: EngineJob,
 }
-
-/// The worker's optional recording ring (shared with its engines).
-type Ring = Option<Rc<RefCell<RingSink>>>;
 
 /// Everything a worker thread needs.
 pub(crate) struct Worker {
@@ -61,7 +58,7 @@ impl Worker {
     pub fn run(self) {
         // Every engine on this worker shares one ring; the shared epoch
         // aligns all workers' timelines on one time base.
-        let ring: Ring =
+        let ring =
             self.tracing.as_ref().map(|t| Rc::new(RefCell::new(RingSink::with_epoch(t.epoch))));
         self.run_loop(&ring);
         if let (Some(ring), Some(t)) = (ring, &self.tracing) {
@@ -72,7 +69,7 @@ impl Worker {
         }
     }
 
-    fn run_loop(&self, ring: &Ring) {
+    fn run_loop(&self, ring: &Option<Rc<RefCell<RingSink>>>) {
         // Kits are built lazily per strategy: most deployments use one or
         // two strategies, and prelude compilation is the expensive part.
         let mut kits: Vec<(Strategy, Control)> = Vec::new();
@@ -181,7 +178,7 @@ impl Worker {
     /// job locally. Spawn failures are reported as outcomes immediately.
     fn admit(
         &self,
-        ring: &Ring,
+        ring: &Option<Rc<RefCell<RingSink>>>,
         spec: JobSpec,
         kits: &mut Vec<(Strategy, Control)>,
         active: &mut VecDeque<Active>,
@@ -219,7 +216,7 @@ impl Worker {
 
     fn finish(
         &self,
-        ring: &Ring,
+        ring: &Option<Rc<RefCell<RingSink>>>,
         slot: &Active,
         result: Result<String, JobError>,
         count: impl FnOnce(&mut WorkerMetrics),
@@ -245,7 +242,7 @@ impl Worker {
 
     fn report(
         &self,
-        ring: &Ring,
+        ring: &Option<Rc<RefCell<RingSink>>>,
         spec: &JobSpec,
         quanta: u64,
         ticks: u64,
@@ -265,13 +262,6 @@ impl Worker {
         // A dropped handle is fine; the outcome just goes unobserved.
         let _ =
             spec.outcome_tx.try_send(JobOutcome { id: spec.id, result, quanta, ticks, latency });
-    }
-}
-
-/// Records one event if this worker is traced.
-fn emit(ring: &Ring, kind: EventKind, a: u64, b: u64) {
-    if let Some(r) = ring {
-        r.borrow_mut().record_now(kind, a, b);
     }
 }
 
@@ -304,7 +294,7 @@ fn out_of_fuel(slot: &Active) -> bool {
 /// per worker. Traced workers hand every kit a clone of their ring, so
 /// engine-level events land on the worker's own timeline.
 fn kit_for<'k>(
-    ring: &Ring,
+    ring: &Option<Rc<RefCell<RingSink>>>,
     kits: &'k mut Vec<(Strategy, Control)>,
     strategy: Strategy,
 ) -> Result<&'k mut Control, String> {

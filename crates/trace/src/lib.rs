@@ -13,12 +13,14 @@
 //!
 //! ## Design
 //!
-//! * [`TraceSink`] is the hook instrumented code writes into. Hot paths
-//!   are generic over it, so the disabled [`NoopSink`] — a zero-sized
-//!   type with an empty `emit` — compiles to nothing.
-//! * [`RingSink`] is the enabled sink: owned by exactly one thread
+//! * [`RingSink`] is the recording ring: owned by exactly one thread
 //!   (lock-free by ownership), bounded (drop-oldest), with always-on
 //!   per-kind counters and [`Histogram`]s that survive ring wrap.
+//! * [`emit`] is the one way instrumented code writes an event. Each
+//!   writer (the segmented stack, a serve worker) holds an
+//!   `Option<Rc<RefCell<RingSink>>>`; `None` means untraced, and the
+//!   hook is one `None` test at an event site. No event sits on the
+//!   call/return path, so an untraced machine pays nothing per call.
 //! * [`OwnerTrace`]s drained from per-owner rings merge into one
 //!   [`chrome_trace_json`] document; [`validate_chrome_trace`] checks it
 //!   and [`flame_summary`] renders a folded-stack text view.
@@ -31,11 +33,11 @@
 //! ## Example
 //!
 //! ```
-//! use segstack_trace::{EventKind, RingSink, TraceSink};
+//! use segstack_trace::{EventKind, RingSink};
 //!
 //! let mut ring = RingSink::new();
-//! ring.emit(EventKind::Capture, 24, 0);
-//! ring.emit(EventKind::Capture, 96, 0);
+//! ring.record_now(EventKind::Capture, 24, 0);
+//! ring.record_now(EventKind::Capture, 96, 0);
 //! assert_eq!(ring.kind_count(EventKind::Capture), 2);
 //! assert_eq!(ring.histogram(EventKind::Capture).summary().max, 96);
 //!
@@ -52,10 +54,8 @@ mod event;
 mod hist;
 pub mod json;
 mod ring;
-mod sink;
 
 pub use chrome::{chrome_trace_json, flame_summary, validate_chrome_trace, ChromeStats};
 pub use event::{Event, EventKind, KIND_COUNT};
 pub use hist::{percentile, HistSummary, Histogram, HIST_BUCKETS};
-pub use ring::{OwnerTrace, RingSink, DEFAULT_RING_CAPACITY};
-pub use sink::{NoopSink, TraceSink};
+pub use ring::{emit, OwnerTrace, RingSink, DEFAULT_RING_CAPACITY};

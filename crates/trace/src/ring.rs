@@ -9,8 +9,15 @@
 //! The ring keeps the most recent `capacity` events (drop-oldest) but
 //! counts and histograms every event it ever saw, so aggregate readouts
 //! survive ring wrap.
+//!
+//! Instrumented code holds an `Option<Rc<RefCell<RingSink>>>` — `None`
+//! when untraced — and writes through [`emit`]. The `Rc` lets one owner
+//! (a serve worker) hand the same ring to several engines and keep a
+//! handle for itself, still without locks.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::rc::Rc;
 use std::time::Instant;
 
 use crate::event::{Event, EventKind, KIND_COUNT};
@@ -169,6 +176,19 @@ impl RingSink {
     }
 }
 
+/// Records one event stamped now into `ring`, if there is one.
+///
+/// The one write path of every instrumented layer. Every event the
+/// paper prices — capture, reinstatement, overflow, underflow — sits off
+/// the call/return path, so an untraced writer pays this `None` test at
+/// event sites only, never on a call or a return.
+#[inline]
+pub fn emit(ring: &Option<Rc<RefCell<RingSink>>>, kind: EventKind, a: u64, b: u64) {
+    if let Some(r) = ring {
+        r.borrow_mut().record_now(kind, a, b);
+    }
+}
+
 /// One owner's drained timeline, ready for export: the owner name becomes
 /// the Perfetto track (thread) name.
 #[derive(Clone, Debug)]
@@ -237,6 +257,17 @@ mod tests {
         assert_eq!(t.events.len(), 1);
         assert!(r.is_empty());
         assert_eq!(r.kind_count(EventKind::Capture), 1);
+    }
+
+    #[test]
+    fn shared_ring_records_through_the_handle() {
+        let ring = Rc::new(RefCell::new(RingSink::new()));
+        let handle = Some(ring.clone());
+        emit(&handle, EventKind::Capture, 4, 0);
+        emit(&handle, EventKind::Relink, 9, 1);
+        emit(&None, EventKind::Capture, 1, 0); // untraced: records nothing
+        assert_eq!(ring.borrow().len(), 2);
+        assert_eq!(ring.borrow().kind_count(EventKind::Capture), 1);
     }
 
     #[test]

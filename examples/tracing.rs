@@ -4,8 +4,10 @@
 //! Three layers, one sink:
 //!
 //! 1. an engine records every capture / reinstate / overflow / underflow
-//!    into a [`RingSink`] (the default `NoopSink` build records nothing
-//!    and costs nothing — see experiment E18);
+//!    into a [`RingSink`] (an engine built without one records nothing;
+//!    both run the same machine, and every event site is off the
+//!    call/return path, so call-only work costs the same either way —
+//!    see experiment E18);
 //! 2. the running Scheme program reads its own per-kind histograms with
 //!    the `(trace-stats)` primitive;
 //! 3. a traced serve runtime drains one timeline per worker, rendered as
