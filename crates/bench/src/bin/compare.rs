@@ -10,14 +10,17 @@
 //!
 //! * `-e EXPR` — evaluate an expression instead of a file
 //! * `--segment N`, `--copy-bound N`, `--frame-bound N` — stack configuration
-//! * `--repeat N` — run the program N times per strategy (default 1)
-
-use std::time::Instant;
+//!
+//! Times come from the harness sampler: each strategy runs the program
+//! once unmeasured, then in every one of `ROUNDS` rounds on a fresh
+//! engine; the table shows medians with quartiles, and each strategy's
+//! per-round ratio to the segmented stack.
 
 use segstack_baselines::Strategy;
-use segstack_bench::table::{fmt_ns, Table};
+use segstack_bench::experiments::{engine, sample, timed_eval};
+use segstack_bench::table::Table;
 use segstack_core::Config;
-use segstack_scheme::Engine;
+use segstack_scheme::CheckPolicy;
 
 struct Args {
     source: String,
@@ -25,7 +28,6 @@ struct Args {
     segment: usize,
     copy_bound: usize,
     frame_bound: usize,
-    repeat: u32,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -35,7 +37,6 @@ fn parse_args() -> Result<Args, String> {
     let mut segment = 16 * 1024;
     let mut copy_bound = 128;
     let mut frame_bound = 64;
-    let mut repeat = 1;
     while let Some(a) = args.next() {
         let mut take = |what: &str| -> Result<String, String> {
             args.next().ok_or_else(|| format!("{what} needs a value"))
@@ -53,7 +54,6 @@ fn parse_args() -> Result<Args, String> {
             "--frame-bound" => {
                 frame_bound = take("--frame-bound")?.parse().map_err(|e| format!("{e}"))?
             }
-            "--repeat" => repeat = take("--repeat")?.parse().map_err(|e| format!("{e}"))?,
             "-h" | "--help" => {
                 return Err("usage: compare [options] FILE.scm | -e EXPR".into());
             }
@@ -67,7 +67,7 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     let source = source.ok_or("usage: compare [options] FILE.scm | -e EXPR")?;
-    Ok(Args { source, label, segment, copy_bound, frame_bound, repeat })
+    Ok(Args { source, label, segment, copy_bound, frame_bound })
 }
 
 fn main() {
@@ -90,16 +90,31 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // The sampler insists that every run succeeds with one value, so a
+    // program that fails is reported once, before sampling.
+    let mut result = match engine(Strategy::Segmented, &cfg, CheckPolicy::Elide).eval(&args.source)
+    {
+        Ok(v) => v.to_string(),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    };
+    if result.len() > 24 {
+        result.truncate(21);
+        result.push_str("...");
+    }
 
     let mut t = Table::new(
         format!("strategy comparison: {}", args.label),
         format!(
-            "segment={} copy-bound={} frame-bound={} repeat={}",
-            args.segment, args.copy_bound, args.frame_bound, args.repeat
+            "segment={} copy-bound={} frame-bound={}",
+            args.segment, args.copy_bound, args.frame_bound
         ),
         &[
             "strategy",
             "time",
+            "vs segmented",
             "result",
             "captures",
             "reinstates",
@@ -108,47 +123,21 @@ fn main() {
             "heap frames",
         ],
     );
-    let mut baseline: Option<f64> = None;
-    for s in Strategy::ALL {
-        let mut engine = match Engine::builder().strategy(s).config(cfg.clone()).build() {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("{s}: {e}");
-                continue;
-            }
-        };
-        // Warm once to compile and populate globals, then measure.
-        let warm = engine.eval(&args.source);
-        engine.reset_metrics();
-        let start = Instant::now();
-        let mut result = warm.map(|v| v.to_string()).unwrap_or_else(|e| format!("error: {e}"));
-        for _ in 0..args.repeat {
-            match engine.eval(&args.source) {
-                Ok(v) => result = v.to_string(),
-                Err(e) => {
-                    result = format!("error: {e}");
-                    break;
-                }
-            }
-        }
-        let nanos = start.elapsed().as_nanos() as f64 / args.repeat.max(1) as f64;
-        if baseline.is_none() {
-            baseline = Some(nanos);
-        }
-        let m = engine.metrics();
-        if result.len() > 24 {
-            result.truncate(21);
-            result.push_str("...");
-        }
-        t.row([
-            format!("{s}{}", if Some(nanos) == baseline { " (ref)" } else { "" }),
-            format!("{} ({:.2}x)", fmt_ns(nanos), nanos / baseline.expect("set above")),
-            result,
-            m.captures.to_string(),
-            m.reinstatements.to_string(),
-            m.overflows.to_string(),
-            m.slots_copied.to_string(),
-            m.heap_frames_allocated.to_string(),
+    let runs = sample(Strategy::ALL.len(), |v| {
+        timed_eval(&mut engine(Strategy::ALL[v], &cfg, CheckPolicy::Elide), &args.source)
+    });
+    for (s, r) in Strategy::ALL.into_iter().zip(&runs) {
+        let m = &r.counters;
+        t.row(vec![
+            s.to_string().into(),
+            r.time().into(),
+            r.ratio().into(),
+            result.clone().into(),
+            m.captures.into(),
+            m.reinstatements.into(),
+            m.overflows.into(),
+            m.slots_copied.into(),
+            m.heap_frames_allocated.into(),
         ]);
     }
     println!("{t}");

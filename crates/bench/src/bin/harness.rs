@@ -1,18 +1,21 @@
 //! Prints every experiment table (or the ones named on the command line).
 //!
 //! Run with `cargo run -p segstack-bench --release --bin harness`.
-//! Pass experiment ids (`e01`..`e19`, `a1`..`a3`) to run a subset.
+//! Pass experiment ids (`e01`..`e14`, `e16`..`e19`, `a1`..`a3`) to run a
+//! subset; an unknown id exits 2 with the list of known ones.
 //! `--json PATH` additionally writes the selected tables as one JSON
-//! document (e.g. the committed `BENCH_PR4.json` regression snapshot).
-//! `--trace-out PATH` additionally runs a canonical continuation-heavy
-//! workload on a traced segmented engine and writes its timeline as
-//! Chrome/Perfetto trace-event JSON.
+//! document stamped with the commit and host (the committed `BENCH_*.json`
+//! snapshots). `--trace-out PATH` additionally runs a
+//! canonical continuation-heavy workload on a traced segmented engine and
+//! writes its timeline as Chrome/Perfetto trace-event JSON.
 
-use segstack_bench::experiments;
+use std::process::Command;
+
+use segstack_bench::experiments::{self, ROUNDS};
 use segstack_core::trace::{chrome_trace_json, flame_summary, validate_chrome_trace};
 
 fn main() {
-    let mut filters: Vec<String> = Vec::new();
+    let mut ids: Vec<String> = Vec::new();
     let mut json_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -27,29 +30,28 @@ fn main() {
                 }
             }
         } else {
-            filters.push(a);
+            ids.push(a);
         }
     }
+    let selected = match experiments::select(&ids) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
     if let Some(path) = &trace_path {
         export_core_trace(path);
-        // Trace-only invocation: ids were only ever filters, so an empty
-        // selection here is intentional, not an error.
-        if filters.is_empty() {
+        // Trace-only invocation: no ids means no experiments here.
+        if ids.is_empty() {
             return;
         }
     }
-    let all = experiments::all();
-    let selected: Vec<_> = if filters.is_empty() {
-        all
-    } else {
-        all.into_iter().filter(|(id, _)| filters.iter().any(|f| f == id)).collect()
-    };
-    if selected.is_empty() {
-        eprintln!("no experiment matches; known ids: e01..e19, a1..a3");
-        std::process::exit(2);
-    }
     println!("# segstack experiment harness");
-    println!("(times are wall-clock on this host; counters are host-independent)\n");
+    println!(
+        "(times are the median [quartiles] of {ROUNDS} rounds on this host; \
+         counters are host-independent)\n"
+    );
     let mut json_entries: Vec<String> = Vec::new();
     for (id, f) in selected {
         let start = std::time::Instant::now();
@@ -60,7 +62,10 @@ fn main() {
     }
     if let Some(path) = json_path {
         let doc = format!(
-            "{{\"generator\":\"segstack-bench harness\",\"experiments\":[{}]}}\n",
+            "{{\"generator\":\"segstack-bench harness\",\"commit\":\"{}\",\"host\":\"{}\",\
+             \"experiments\":[{}]}}\n",
+            commit(),
+            host(),
             json_entries.join(",")
         );
         if let Err(e) = std::fs::write(&path, doc) {
@@ -69,6 +74,27 @@ fn main() {
         }
         println!("wrote {path}");
     }
+}
+
+/// Trimmed stdout of a command that succeeded.
+fn output_of(program: &str, args: &[&str]) -> Option<String> {
+    let out = Command::new(program).args(args).output().ok()?;
+    let text = String::from_utf8(out.stdout).ok()?;
+    (out.status.success() && !text.trim().is_empty()).then(|| text.trim().to_string())
+}
+
+/// The checkout's abbreviated commit, with `-dirty` when the working tree
+/// has uncommitted changes.
+fn commit() -> String {
+    output_of("git", &["describe", "--always", "--dirty", "--abbrev=12"])
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// The host name, core count and target.
+fn host() -> String {
+    let name = output_of("hostname", &[]).unwrap_or_else(|| "unknown".into());
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!("{name} ({cores} cores, {}-{})", std::env::consts::ARCH, std::env::consts::OS)
 }
 
 /// Runs the canonical traced core workload and writes its Perfetto

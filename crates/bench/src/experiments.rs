@@ -5,28 +5,129 @@
 //! paper's comparative claims are checked both ways. Absolute times depend
 //! on the host; the *shape* — who wins, by what factor, where crossovers
 //! fall — is the reproduction target.
+//!
+//! Every time comes from one sampler, [`sample`]. It takes the variants of
+//! one row group (one program on several strategies, configurations or
+//! check policies, traced or not), runs each once unmeasured, then runs
+//! [`ROUNDS`] rounds, each variant on a fresh engine and in alternating
+//! order. Each variant's times reduce to a median with quartiles, and to
+//! per-round ratios against the first variant. The sampler also asserts
+//! that every round repeats its variant's counters exactly and that every
+//! variant prints the same value.
 
 use std::cell::RefCell;
+use std::fmt::Debug;
 use std::rc::Rc;
 use std::time::Instant;
 
 use segstack_baselines::Strategy;
 use segstack_core::trace::{OwnerTrace, RingSink};
-use segstack_core::{sim, Config, ControlStack, Metrics, SegmentedStack, TestCode, TestSlot};
+use segstack_core::{
+    sim, walker, Config, ControlStack, Metrics, ReturnAddress, SegmentedStack, TestCode, TestSlot,
+};
 use segstack_scheme::{CheckPolicy, Engine, Value};
 
-use crate::table::{fmt_ns, fmt_ratio, Table};
+use crate::table::{Cell, Stat, Table};
 use crate::workloads as w;
 
-/// Result of one measured run.
+/// Timed rounds per variant, after one unmeasured warm-up run.
+pub const ROUNDS: usize = 7;
+
+/// One timed run of a variant: its wall time, the counters it
+/// accumulated, and the value it printed.
 #[derive(Clone, Debug)]
-pub struct Run {
-    /// Wall-clock nanoseconds for the measured phase.
+pub struct Run<C = Metrics> {
+    /// Wall-clock nanoseconds of the measured phase.
     pub nanos: f64,
-    /// Counters accumulated during the measured phase.
-    pub metrics: Metrics,
-    /// Printed result value (for validation).
+    /// Counters of the measured phase; every round must repeat them.
+    pub counters: C,
+    /// Printed result; every variant must print the same.
     pub value: String,
+}
+
+impl Run {
+    /// Adds state read after the run (a chain length, an event count) to
+    /// the counters every round must repeat.
+    pub fn with<T>(self, extra: T) -> Run<(Metrics, T)> {
+        Run { nanos: self.nanos, counters: (self.counters, extra), value: self.value }
+    }
+}
+
+/// One variant's rounds.
+#[derive(Clone, Debug)]
+pub struct Sampled<C = Metrics> {
+    /// The counters every round repeated.
+    pub counters: C,
+    /// Wall-clock nanoseconds, one per round.
+    pub nanos: Vec<f64>,
+    /// Each round's time over the first variant's time in the same round.
+    pub ratios: Vec<f64>,
+}
+
+impl<C> Sampled<C> {
+    /// The round times.
+    pub fn time(&self) -> Stat {
+        Stat::of(&self.nanos, "ns")
+    }
+
+    /// The round times divided by `ops` operations, in `unit`.
+    pub fn per(&self, ops: u64, unit: &'static str) -> Stat {
+        let ops = ops.max(1) as f64;
+        let per: Vec<f64> = self.nanos.iter().map(|n| n / ops).collect();
+        Stat::of(&per, unit)
+    }
+
+    /// The per-round time ratios to the first variant.
+    pub fn ratio(&self) -> Stat {
+        Stat::of(&self.ratios, "x")
+    }
+}
+
+/// Samples `variants` ways of running one program; `run(v)` runs variant
+/// `v` once, on a fresh engine or stack.
+///
+/// Each variant runs once unmeasured, then [`ROUNDS`] times. Even rounds
+/// run the variants in order and odd rounds in reverse, so drift during a
+/// round biases half of each variant's ratios up and half down, and the
+/// median cancels it.
+///
+/// # Panics
+///
+/// If a variant's counters differ between rounds, or two variants print
+/// different values.
+pub fn sample<C: PartialEq + Debug>(
+    variants: usize,
+    mut run: impl FnMut(usize) -> Run<C>,
+) -> Vec<Sampled<C>> {
+    assert!(variants > 0, "nothing to sample");
+    for v in 0..variants {
+        run(v);
+    }
+    let mut runs: Vec<Vec<Run<C>>> = (0..variants).map(|_| Vec::with_capacity(ROUNDS)).collect();
+    for round in 0..ROUNDS {
+        for k in 0..variants {
+            let v = if round % 2 == 0 { k } else { variants - 1 - k };
+            runs[v].push(run(v));
+        }
+    }
+    let value = runs[0][0].value.clone();
+    let first: Vec<f64> = runs[0].iter().map(|r| r.nanos).collect();
+    runs.into_iter()
+        .enumerate()
+        .map(|(v, rounds)| {
+            for r in &rounds {
+                assert_eq!(
+                    r.counters, rounds[0].counters,
+                    "variant {v}: counters differ between rounds"
+                );
+                assert_eq!(r.value, value, "variant {v} printed a different value than variant 0");
+            }
+            let nanos: Vec<f64> = rounds.iter().map(|r| r.nanos).collect();
+            let ratios = nanos.iter().zip(&first).map(|(n, f)| n / f).collect();
+            let counters = rounds.into_iter().next().expect("at least one round").counters;
+            Sampled { counters, nanos, ratios }
+        })
+        .collect()
 }
 
 /// Builds an engine for an experiment.
@@ -39,31 +140,47 @@ pub fn engine(strategy: Strategy, cfg: &Config, policy: CheckPolicy) -> Engine {
         .expect("engine construction")
 }
 
-/// Evaluates `setup` unmeasured, then measures `src`.
-pub fn measure(e: &mut Engine, setup: &str, src: &str) -> Run {
-    if !setup.is_empty() {
-        e.eval(setup).expect("setup");
-    }
+/// Times one `eval` of `src` on `e`, counting from zeroed counters.
+pub fn timed_eval(e: &mut Engine, src: &str) -> Run {
     e.reset_metrics();
     let start = Instant::now();
     let v = e.eval(src).expect("measured program");
     let nanos = start.elapsed().as_nanos() as f64;
-    Run { nanos, metrics: e.metrics().clone(), value: v.to_string() }
+    Run { nanos, counters: e.metrics().clone(), value: v.to_string() }
 }
 
-/// Measures `src` on a fresh engine per strategy.
-pub fn measure_on(strategy: Strategy, cfg: &Config, src: &str) -> Run {
-    let mut e = engine(strategy, cfg, CheckPolicy::Elide);
-    // Warm once: compiles a separate chunk; run-time state (globals) from
-    // the warm run is discarded by using a fresh engine.
-    let mut warm = engine(strategy, cfg, CheckPolicy::Elide);
-    warm.eval(src).expect("warmup");
-    measure(&mut e, "", src)
+/// Samples `src` on each of `strategies`.
+fn on_strategies(strategies: &[Strategy], cfg: &Config, src: &str) -> Vec<Sampled> {
+    sample(strategies.len(), |v| {
+        timed_eval(&mut engine(strategies[v], cfg, CheckPolicy::Elide), src)
+    })
+}
+
+/// Samples `src` on the segmented stack under each of `cfgs`.
+fn on_configs(cfgs: &[Config], src: &str) -> Vec<Sampled> {
+    sample(cfgs.len(), |v| {
+        timed_eval(&mut engine(Strategy::Segmented, &cfgs[v], CheckPolicy::Elide), src)
+    })
+}
+
+/// `count` per operation, as an exact cell.
+fn per_op(count: u64, ops: u64) -> Cell {
+    (count as f64 / ops.max(1) as f64).into()
+}
+
+/// A strategy's name as a cell.
+fn name(s: Strategy) -> Cell {
+    s.to_string().into()
 }
 
 fn cfg_default() -> Config {
     Config::default()
 }
+
+/// The note every strategy comparison of engine run times carries.
+const DISPATCH_NOTE: &str = "the segmented rows run statically dispatched and the baseline rows \
+                             behind Box<dyn ControlStack>, so baseline times include dynamic \
+                             dispatch on every stack operation";
 
 /// E1 — ordinary procedure calls across all strategies (Fig 1 vs Fig 3;
 /// §1: heap allocation slows ordinary calls).
@@ -72,24 +189,32 @@ pub fn e01_calls() -> Table {
         "E1: ordinary call/return cost by strategy",
         "heap allocation makes ordinary calls slower; the segmented stack keeps the \
          traditional stack's cheap call interface (§1, §2, Fig 1-3)",
-        &["workload", "strategy", "time", "ns/call-op", "heap frames", "slots copied"],
+        &[
+            "workload",
+            "strategy",
+            "time",
+            "ns/call-op",
+            "vs segmented",
+            "heap frames",
+            "slots copied",
+        ],
     );
-    let workloads = [
+    for (workload, src) in [
         ("fib 22", w::fib(22)),
         ("tak 16 10 4", w::tak(16, 10, 4)),
         ("tail-loop 300k", w::tail_loop(300_000)),
-    ];
-    for (name, src) in &workloads {
-        for s in Strategy::ALL {
-            let r = measure_on(s, &cfg_default(), src);
-            let ops = r.metrics.call_interface_ops().max(1) as f64;
-            t.row([
-                name.to_string(),
-                s.to_string(),
-                fmt_ns(r.nanos),
-                format!("{:.1}", r.nanos / ops),
-                r.metrics.heap_frames_allocated.to_string(),
-                r.metrics.slots_copied.to_string(),
+    ] {
+        let runs = on_strategies(&Strategy::ALL, &cfg_default(), &src);
+        for (s, r) in Strategy::ALL.into_iter().zip(&runs) {
+            let m = &r.counters;
+            t.row(vec![
+                workload.into(),
+                name(s),
+                r.time().into(),
+                r.per(m.call_interface_ops(), "ns/call-op").into(),
+                r.ratio().into(),
+                m.heap_frames_allocated.into(),
+                m.slots_copied.into(),
             ]);
         }
     }
@@ -97,6 +222,7 @@ pub fn e01_calls() -> Table {
         "the heap model allocates a frame per call AND per tail call; stack-based \
             strategies allocate none",
     );
+    t.note(DISPATCH_NOTE);
     t
 }
 
@@ -108,17 +234,16 @@ pub fn e02_capture_depth() -> Table {
          O(1) (Fig 2 vs Fig 5)",
         &["depth", "strategy", "ns/capture-cycle", "slots copied/cycle"],
     );
-    let rounds = 2_000u32;
     for depth in [10u32, 100, 500, 2000] {
-        for s in Strategy::ALL {
-            let src = w::capture_at_depth(depth, rounds);
-            let r = measure_on(s, &cfg_default(), &src);
-            let caps = r.metrics.captures.max(1) as f64;
-            t.row([
-                depth.to_string(),
-                s.to_string(),
-                format!("{:.0}", r.nanos / caps),
-                format!("{:.1}", r.metrics.slots_copied as f64 / caps),
+        let runs =
+            on_strategies(&Strategy::ALL, &cfg_default(), &w::capture_at_depth(depth, 2_000));
+        for (s, r) in Strategy::ALL.into_iter().zip(&runs) {
+            let caps = r.counters.captures;
+            t.row(vec![
+                depth.into(),
+                name(s),
+                r.per(caps, "ns/capture-cycle").into(),
+                per_op(r.counters.slots_copied, caps),
             ]);
         }
     }
@@ -154,18 +279,17 @@ pub fn e03_reinstate_size() -> Table {
          first, so cost is flat in continuation size (§4, Fig 6-7)",
         &["depth", "strategy", "ns/reinstate", "slots copied/reinstate", "splits"],
     );
-    let rounds = 2_000u32;
+    let strategies = [Strategy::Segmented, Strategy::Copy, Strategy::Heap, Strategy::Incremental];
     for depth in [50u32, 200, 1000, 4000] {
-        for s in [Strategy::Segmented, Strategy::Copy, Strategy::Heap, Strategy::Incremental] {
-            let src = reinstate_latency(depth, rounds);
-            let r = measure_on(s, &cfg_default(), &src);
-            let n = r.metrics.reinstatements.max(1) as f64;
-            t.row([
-                depth.to_string(),
-                s.to_string(),
-                format!("{:.0}", r.nanos / n),
-                format!("{:.1}", r.metrics.slots_copied as f64 / n),
-                r.metrics.splits.to_string(),
+        let runs = on_strategies(&strategies, &cfg_default(), &reinstate_latency(depth, 2_000));
+        for (s, r) in strategies.into_iter().zip(&runs) {
+            let n = r.counters.reinstatements;
+            t.row(vec![
+                depth.into(),
+                name(s),
+                r.per(n, "ns/reinstate").into(),
+                per_op(r.counters.slots_copied, n),
+                r.counters.splits.into(),
             ]);
         }
     }
@@ -176,6 +300,31 @@ pub fn e03_reinstate_size() -> Table {
     t
 }
 
+/// Times `walks` walks over a synthetic segment of `frames` 8-slot frames,
+/// whose boundaries only the code stream's frame-size words record;
+/// counts the frames the walks found.
+fn walk_frames(frames: usize, walks: u64) -> Run<usize> {
+    let code = TestCode::new();
+    let mut buf = vec![TestSlot::Empty; frames * 8 + 8];
+    buf[0] = TestSlot::Ra(ReturnAddress::Exit);
+    let mut top = 0;
+    let mut ra = None;
+    for _ in 0..frames {
+        if let Some(ra) = ra {
+            buf[top] = TestSlot::Ra(ReturnAddress::Code(ra));
+        }
+        ra = Some(code.ret_point(8));
+        top += 8;
+    }
+    let ra = ra.expect("at least one frame");
+    let start = Instant::now();
+    let mut found = 0;
+    for _ in 0..walks {
+        found += walker::frames(&buf, 0, top, ra, &code).len();
+    }
+    Run { nanos: start.elapsed().as_nanos() as f64, counters: found, value: String::new() }
+}
+
 /// E4 — stack walking via code-stream frame-size words (Fig 4).
 pub fn e04_walk() -> Table {
     let mut t = Table::new(
@@ -184,50 +333,15 @@ pub fn e04_walk() -> Table {
          linear in the frame count (Fig 4)",
         &["frames", "time/walk", "ns/frame"],
     );
-    let code = std::rc::Rc::new(TestCode::new());
+    let walks = 2_000u64;
     for frames in [16usize, 256, 4096] {
-        let cfg =
-            Config::builder().segment_slots(frames * 8 + 1024).frame_bound(64).build().unwrap();
-        let mut stack = SegmentedStack::<TestSlot>::new(cfg, code.clone()).unwrap();
-        sim::push_frames(&mut stack, &code, frames, 8);
-        let k = stack.capture();
-        // Walk the sealed segment through the public walker API.
-        let iters = 2_000;
-        let start = Instant::now();
-        let mut total = 0usize;
-        for _ in 0..iters {
-            // The capture sealed [0, frames*8); rebuild the walk each time.
-            total += k.chain_len();
-            total += k.retained_slots();
-        }
-        let retained_nanos = start.elapsed().as_nanos() as f64 / iters as f64;
-        // Direct frame walk over a reconstructed buffer.
-        let buf: Vec<TestSlot> = {
-            // Reconstruct an equivalent occupied segment for the walker.
-            let code2 = TestCode::new();
-            let mut b = vec![TestSlot::Empty; frames * 8 + 8];
-            b[0] = TestSlot::Ra(segstack_core::ReturnAddress::Exit);
-            let mut fbase = 0usize;
-            let mut prev = None;
-            for _ in 0..frames {
-                if let Some(ra) = prev {
-                    b[fbase] = TestSlot::Ra(segstack_core::ReturnAddress::Code(ra));
-                }
-                prev = Some(code2.ret_point(8));
-                fbase += 8;
-            }
-            let start = Instant::now();
-            let mut n = 0usize;
-            for _ in 0..iters {
-                n += segstack_core::walker::frames(&b, 0, fbase, prev.unwrap(), &code2).len();
-            }
-            let nanos = start.elapsed().as_nanos() as f64 / iters as f64;
-            t.row([frames.to_string(), fmt_ns(nanos), format!("{:.1}", nanos / frames as f64)]);
-            let _ = n;
-            let _ = retained_nanos;
-            b
-        };
-        let _ = (buf, total);
+        let runs = sample(1, |_| walk_frames(frames, walks));
+        let r = &runs[0];
+        t.row(vec![
+            frames.into(),
+            r.per(walks, "ns").into(),
+            r.per(walks * frames as u64, "ns/frame").into(),
+        ]);
     }
     t.note(
         "linear in frames with a small per-frame constant: one displacement \
@@ -244,15 +358,14 @@ pub fn e05_capture_all() -> Table {
          for the stack cache (Fig 5, §2)",
         &["strategy", "ns/capture", "slots copied/capture", "heap slots/capture"],
     );
-    let src = w::capture_at_depth(1000, 2000);
-    for s in Strategy::ALL {
-        let r = measure_on(s, &cfg_default(), &src);
-        let caps = r.metrics.captures.max(1) as f64;
-        t.row([
-            s.to_string(),
-            format!("{:.0}", r.nanos / caps),
-            format!("{:.1}", r.metrics.slots_copied as f64 / caps),
-            format!("{:.1}", r.metrics.heap_slots_allocated as f64 / caps),
+    let runs = on_strategies(&Strategy::ALL, &cfg_default(), &w::capture_at_depth(1000, 2000));
+    for (s, r) in Strategy::ALL.into_iter().zip(&runs) {
+        let caps = r.counters.captures;
+        t.row(vec![
+            name(s),
+            r.per(caps, "ns/capture").into(),
+            per_op(r.counters.slots_copied, caps),
+            per_op(r.counters.heap_slots_allocated, caps),
         ]);
     }
     t
@@ -266,15 +379,10 @@ pub fn e06_reinstate_all() -> Table {
          refill for cache, O(1) for heap/hybrid (Fig 6, §6)",
         &["strategy", "ns/reinstate", "slots copied/reinstate"],
     );
-    let src = reinstate_latency(1000, 2000);
-    for s in Strategy::ALL {
-        let r = measure_on(s, &cfg_default(), &src);
-        let n = r.metrics.reinstatements.max(1) as f64;
-        t.row([
-            s.to_string(),
-            format!("{:.0}", r.nanos / n),
-            format!("{:.1}", r.metrics.slots_copied as f64 / n),
-        ]);
+    let runs = on_strategies(&Strategy::ALL, &cfg_default(), &reinstate_latency(1000, 2000));
+    for (s, r) in Strategy::ALL.into_iter().zip(&runs) {
+        let n = r.counters.reinstatements;
+        t.row(vec![name(s), r.per(n, "ns/reinstate").into(), per_op(r.counters.slots_copied, n)]);
     }
     t
 }
@@ -286,31 +394,48 @@ pub fn e07_copybound_sweep() -> Table {
         "E7: copy-bound sweep (segmented)",
         "small bounds split often; huge bounds copy too much per reinstatement; the \
          best value sits in between and can only be found by experiment (§4)",
-        &["copy bound", "workload", "time", "splits", "slots copied"],
+        &["workload", "copy bound", "time", "splits", "slots copied"],
     );
-    for bound in [4usize, 16, 64, 128, 512, 2048] {
-        let cfg = Config::builder()
-            .segment_slots(16 * 1024)
-            .frame_bound(64)
-            .copy_bound(bound)
-            .build()
-            .unwrap();
-        for (name, src) in [
-            ("ctak 14 10 4", w::ctak(14, 10, 4)),
-            ("reinstate d=2000", reinstate_latency(2000, 2000)),
-            ("deep-sum 60k", w::deep_sum(60_000)),
-        ] {
-            let r = measure_on(Strategy::Segmented, &cfg, &src);
-            t.row([
-                bound.to_string(),
-                name.to_string(),
-                fmt_ns(r.nanos),
-                r.metrics.splits.to_string(),
-                r.metrics.slots_copied.to_string(),
+    let bounds = [4usize, 16, 64, 128, 512, 2048];
+    let cfgs: Vec<Config> = bounds
+        .iter()
+        .map(|&b| {
+            Config::builder()
+                .segment_slots(16 * 1024)
+                .frame_bound(64)
+                .copy_bound(b)
+                .build()
+                .unwrap()
+        })
+        .collect();
+    for (workload, src) in [
+        ("ctak 14 10 4", w::ctak(14, 10, 4)),
+        ("reinstate d=2000", reinstate_latency(2000, 2000)),
+        ("deep-sum 60k", w::deep_sum(60_000)),
+    ] {
+        for (bound, r) in bounds.into_iter().zip(&on_configs(&cfgs, &src)) {
+            t.row(vec![
+                workload.into(),
+                bound.into(),
+                r.time().into(),
+                r.counters.splits.into(),
+                r.counters.slots_copied.into(),
             ]);
         }
     }
     t
+}
+
+/// A segment the check-policy experiments' recursion never outruns, so
+/// `never` is sound.
+fn unchecked_safe() -> Config {
+    Config::builder().segment_slots(4 * 1024 * 1024).frame_bound(64).build().unwrap()
+}
+
+/// Samples `src` on the segmented stack under each of `policies`.
+fn on_policies(policies: &[CheckPolicy], src: &str) -> Vec<Sampled> {
+    let cfg = unchecked_safe();
+    sample(policies.len(), |v| timed_eval(&mut engine(Strategy::Segmented, &cfg, policies[v]), src))
 }
 
 /// E8 — overflow-check cost and elision (Fig 8, §5).
@@ -321,33 +446,23 @@ pub fn e08_overflow_checks() -> Table {
          never check (Fig 8, §5)",
         &["workload", "policy", "time", "checks executed", "checks elided"],
     );
-    // `Never` is only sound when the segment outruns the recursion.
-    let big = Config::builder().segment_slots(4 * 1024 * 1024).frame_bound(64).build().unwrap();
-    for (name, src) in [
+    let policies = [CheckPolicy::Always, CheckPolicy::Elide, CheckPolicy::Never];
+    for (workload, src) in [
         ("fib 22", w::fib(22)),
         ("tak 16 10 4", w::tak(16, 10, 4)),
         ("tail-loop 300k", w::tail_loop(300_000)),
         ("leaf-heavy sort 600", w::sort(600)),
         ("lcg-let-loop 300k", w::lcg_let_loop(300_000)),
     ] {
-        for (label, policy) in [
-            ("always", CheckPolicy::Always),
-            ("elide", CheckPolicy::Elide),
-            ("never", CheckPolicy::Never),
-        ] {
-            let mut e = Engine::builder()
-                .strategy(Strategy::Segmented)
-                .config(big.clone())
-                .check_policy(policy)
-                .build()
-                .expect("engine construction");
-            let r = measure(&mut e, "", &src);
-            t.row([
-                name.to_string(),
-                label.to_string(),
-                fmt_ns(r.nanos),
-                r.metrics.checks_executed.to_string(),
-                r.metrics.checks_elided.to_string(),
+        for (label, r) in
+            ["always", "elide", "never"].into_iter().zip(&on_policies(&policies, &src))
+        {
+            t.row(vec![
+                workload.into(),
+                label.into(),
+                r.time().into(),
+                r.counters.checks_executed.into(),
+                r.counters.checks_elided.into(),
             ]);
         }
     }
@@ -368,28 +483,26 @@ pub fn e09_bouncing() -> Table {
         &["park depth", "strategy", "time", "overflows", "underflows", "slots copied"],
     );
     let cfg = Config::builder().segment_slots(512).frame_bound(48).copy_bound(32).build().unwrap();
-    let iters = 20_000u32;
     // Find the parking depth that puts the crossing loop exactly on the
     // cache boundary: the shallowest depth at which one iteration already
     // overflows the cache.
     let boundary = (1u32..200)
         .find(|&d| {
             let mut e = engine(Strategy::Cache, &cfg, CheckPolicy::Elide);
-            let r = measure(&mut e, "", &w::boundary_loop(d, 2));
-            r.metrics.overflows > 0
+            timed_eval(&mut e, &w::boundary_loop(d, 2)).counters.overflows > 0
         })
         .expect("cache boundary within 200 frames");
+    let strategies = [Strategy::Cache, Strategy::Segmented];
     for depth in [boundary.saturating_sub(4), boundary.saturating_sub(1), boundary] {
-        for s in [Strategy::Cache, Strategy::Segmented] {
-            let src = w::boundary_loop(depth, iters);
-            let r = measure_on(s, &cfg, &src);
-            t.row([
-                depth.to_string(),
-                s.to_string(),
-                fmt_ns(r.nanos),
-                r.metrics.overflows.to_string(),
-                r.metrics.underflows.to_string(),
-                r.metrics.slots_copied.to_string(),
+        let runs = on_strategies(&strategies, &cfg, &w::boundary_loop(depth, 20_000));
+        for (s, r) in strategies.into_iter().zip(&runs) {
+            t.row(vec![
+                depth.into(),
+                name(s),
+                r.time().into(),
+                r.counters.overflows.into(),
+                r.counters.underflows.into(),
+                r.counters.slots_copied.into(),
             ]);
         }
     }
@@ -408,16 +521,20 @@ pub fn e10_looper() -> Table {
          must not grow (§4)",
         &["strategy", "time", "captures", "segments/frames allocated", "chain at end"],
     );
-    for s in Strategy::ALL {
-        let mut e = engine(s, &cfg_default(), CheckPolicy::Elide);
-        let r = measure(&mut e, "", &w::looper(200_000));
-        let alloc = r.metrics.segments_allocated + r.metrics.heap_frames_allocated;
-        t.row([
-            s.to_string(),
-            fmt_ns(r.nanos),
-            r.metrics.captures.to_string(),
-            alloc.to_string(),
-            e.stack_stats().chain_records.to_string(),
+    let src = w::looper(200_000);
+    let runs = sample(Strategy::ALL.len(), |v| {
+        let mut e = engine(Strategy::ALL[v], &cfg_default(), CheckPolicy::Elide);
+        let r = timed_eval(&mut e, &src);
+        r.with(e.stack_stats().chain_records)
+    });
+    for (s, r) in Strategy::ALL.into_iter().zip(&runs) {
+        let (m, chain) = &r.counters;
+        t.row(vec![
+            name(s),
+            r.time().into(),
+            m.captures.into(),
+            (m.segments_allocated + m.heap_frames_allocated).into(),
+            (*chain).into(),
         ]);
     }
     t.note(
@@ -437,6 +554,7 @@ pub fn e11_repeated_capture() -> Table {
             "strategy",
             "K",
             "D",
+            "time",
             "sum of per-kont reachable slots",
             "heap slots allocated",
             "slots copied",
@@ -452,9 +570,9 @@ pub fn e11_repeated_capture() -> Table {
          (define (deep n thunk) (if (= n 0) (thunk) (+ 1 (deep (- n 1) thunk))))
          (deep {depth} (lambda () (grab {k_count})))"
     );
-    for s in Strategy::ALL {
-        let mut e = engine(s, &cfg_default(), CheckPolicy::Elide);
-        let r = measure(&mut e, "", &src);
+    let runs = sample(Strategy::ALL.len(), |v| {
+        let mut e = engine(Strategy::ALL[v], &cfg_default(), CheckPolicy::Elide);
+        let r = timed_eval(&mut e, &src);
         let retained: usize = match e.global("ks") {
             Some(v) => v
                 .list_to_vec()
@@ -467,13 +585,18 @@ pub fn e11_repeated_capture() -> Table {
                 .sum(),
             None => 0,
         };
-        t.row([
-            s.to_string(),
-            k_count.to_string(),
-            depth.to_string(),
-            retained.to_string(),
-            r.metrics.heap_slots_allocated.to_string(),
-            r.metrics.slots_copied.to_string(),
+        r.with(retained)
+    });
+    for (s, r) in Strategy::ALL.into_iter().zip(&runs) {
+        let (m, retained) = &r.counters;
+        t.row(vec![
+            name(s),
+            k_count.into(),
+            depth.into(),
+            r.time().into(),
+            (*retained).into(),
+            m.heap_slots_allocated.into(),
+            m.slots_copied.into(),
         ]);
     }
     t.note(
@@ -485,6 +608,21 @@ pub fn e11_repeated_capture() -> Table {
     t
 }
 
+/// Samples each workload on the heap model and the segmented stack, one
+/// row per workload with the segmented/heap ratio.
+fn heap_vs_segmented(t: &mut Table, workloads: &[(&str, String)]) {
+    for (workload, src) in workloads {
+        let runs = on_strategies(&[Strategy::Heap, Strategy::Segmented], &cfg_default(), src);
+        t.row(vec![
+            (*workload).into(),
+            runs[0].time().into(),
+            runs[1].time().into(),
+            runs[1].ratio().into(),
+        ]);
+    }
+    t.note(DISPATCH_NOTE);
+}
+
 /// E12 — continuation-intensive programs: segmented vs. heap (§1: "at worst
 /// a constant factor slower").
 pub fn e12_cont_intensive() -> Table {
@@ -494,21 +632,15 @@ pub fn e12_cont_intensive() -> Table {
          constant factor slower than the heap model (§1)",
         &["workload", "heap", "segmented", "seg/heap"],
     );
-    for (name, src) in [
-        ("ctak 14 10 4", w::ctak(14, 10, 4)),
-        ("generator drain 50x200", w::generator_drain(50, 200)),
-        ("capture@500 x2000", w::capture_at_depth(500, 2000)),
-        ("reinstate d=1000 x2000", reinstate_latency(1000, 2000)),
-    ] {
-        let heap = measure_on(Strategy::Heap, &cfg_default(), &src);
-        let seg = measure_on(Strategy::Segmented, &cfg_default(), &src);
-        t.row([
-            name.to_string(),
-            fmt_ns(heap.nanos),
-            fmt_ns(seg.nanos),
-            fmt_ratio(seg.nanos / heap.nanos),
-        ]);
-    }
+    heap_vs_segmented(
+        &mut t,
+        &[
+            ("ctak 14 10 4", w::ctak(14, 10, 4)),
+            ("generator drain 50x200", w::generator_drain(50, 200)),
+            ("capture@500 x2000", w::capture_at_depth(500, 2000)),
+            ("reinstate d=1000 x2000", reinstate_latency(1000, 2000)),
+        ],
+    );
     t
 }
 
@@ -520,24 +652,18 @@ pub fn e13_typical() -> Table {
          heap model (§1)",
         &["workload", "heap", "segmented", "seg/heap"],
     );
-    for (name, src) in [
-        ("fib 22", w::fib(22)),
-        ("tak 18 12 6", w::tak(18, 12, 6)),
-        ("sort 600", w::sort(600)),
-        ("deriv nest-17", w::deriv(17)),
-        ("queens 7", w::queens_plain(7)),
-        ("boyer 25", w::boyer(25)),
-        ("tail-loop 300k", w::tail_loop(300_000)),
-    ] {
-        let heap = measure_on(Strategy::Heap, &cfg_default(), &src);
-        let seg = measure_on(Strategy::Segmented, &cfg_default(), &src);
-        t.row([
-            name.to_string(),
-            fmt_ns(heap.nanos),
-            fmt_ns(seg.nanos),
-            fmt_ratio(seg.nanos / heap.nanos),
-        ]);
-    }
+    heap_vs_segmented(
+        &mut t,
+        &[
+            ("fib 22", w::fib(22)),
+            ("tak 18 12 6", w::tak(18, 12, 6)),
+            ("sort 600", w::sort(600)),
+            ("deriv nest-17", w::deriv(17)),
+            ("queens 7", w::queens_plain(7)),
+            ("boyer 25", w::boyer(25)),
+            ("tail-loop 300k", w::tail_loop(300_000)),
+        ],
+    );
     t
 }
 
@@ -577,81 +703,14 @@ pub fn e14_frame_sizes() -> Table {
     let mut sizes = e.frame_sizes();
     sizes.sort_unstable();
     let n = sizes.len();
-    let pct = |p: f64| sizes[(((n - 1) as f64) * p) as usize];
+    let pct = |p: f64| u64::from(sizes[(((n - 1) as f64) * p) as usize]);
     let under_30 = sizes.iter().filter(|&&s| s < 30).count() as f64 / n as f64 * 100.0;
-    t.row(["chunks compiled".into(), n.to_string()]);
-    t.row(["median frame".into(), pct(0.5).to_string()]);
-    t.row(["p90 frame".into(), pct(0.9).to_string()]);
-    t.row(["p99 frame".into(), pct(0.99).to_string()]);
-    t.row(["max frame".into(), sizes[n - 1].to_string()]);
-    t.row(["% under 30 slots".into(), format!("{under_30:.1}%")]);
-    t
-}
-
-/// E15 — worker-count scaling of the serve runtime (engines from
-/// continuations as a multi-worker service; §4–§5 engine application).
-pub fn e15_serve_scaling() -> Table {
-    let mut t = Table::new(
-        "E15: serve-runtime throughput vs. worker count (mixed 400-job load)",
-        "shared-nothing workers with engine-quantum preemption scale aggregate \
-         throughput near-linearly until the host runs out of cores; fairness stays \
-         flat because quanta are granted round-robin",
-        &[
-            "workers",
-            "strategy",
-            "jobs",
-            "jobs/s",
-            "speedup vs 1",
-            "p50 latency",
-            "p99 latency",
-            "fairness",
-        ],
-    );
-    let (jobs, quantum, seed) = (400usize, 5_000u64, 42u64);
-    let mut base = None;
-    for workers in [1usize, 2, 4, 8] {
-        let r = crate::serve_load::run_load(workers, jobs, quantum, seed);
-        assert_eq!(r.failed, 0, "load run must complete cleanly");
-        let tput = r.throughput();
-        let base_tput = *base.get_or_insert(tput);
-        t.row([
-            workers.to_string(),
-            "(all)".to_string(),
-            r.completed.to_string(),
-            format!("{tput:.0}"),
-            fmt_ratio(tput / base_tput),
-            fmt_ns(r.latency_pct(0.50).as_nanos() as f64),
-            fmt_ns(r.latency_pct(0.99).as_nanos() as f64),
-            format!("{:.2}", r.fairness()),
-        ]);
-        let wall = r.wall.as_secs_f64().max(1e-9);
-        for (name, samples) in r.by_strategy() {
-            let p = |q: f64| crate::serve_load::percentile(samples.iter().map(|s| s.latency), q);
-            t.row([
-                workers.to_string(),
-                name,
-                samples.len().to_string(),
-                format!("{:.0}", samples.len() as f64 / wall),
-                String::new(),
-                fmt_ns(p(0.50).as_nanos() as f64),
-                fmt_ns(p(0.99).as_nanos() as f64),
-                String::new(),
-            ]);
-        }
-    }
-    t.note(
-        "each worker owns its engines outright (the VM is deliberately not \
-            Send); the only cross-thread traffic is the bounded admission queue",
-    );
-    t.note(
-        "latency counts queue wait (all 400 jobs are submitted up front), so \
-            per-job latency falls with worker count alongside aggregate throughput",
-    );
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    t.note(format!(
-        "this host exposes {cores} core(s); speedup saturates at min(workers, cores) — \
-         a flat curve on a 1-core host measures pure scheduling overhead (~5-10%)"
-    ));
+    t.row(vec!["chunks compiled".into(), n.into()]);
+    t.row(vec!["median frame".into(), pct(0.5).into()]);
+    t.row(vec!["p90 frame".into(), pct(0.9).into()]);
+    t.row(vec!["p99 frame".into(), pct(0.99).into()]);
+    t.row(vec!["max frame".into(), u64::from(sizes[n - 1]).into()]);
+    t.row(vec!["% under 30 slots".into(), under_30.into()]);
     t
 }
 
@@ -667,6 +726,7 @@ pub fn e16_pingpong() -> Table {
             "strategy",
             "capture",
             "time",
+            "vs %call/cc",
             "ns/switch",
             "slots copied/switch",
             "relinked switches",
@@ -676,20 +736,23 @@ pub fn e16_pingpong() -> Table {
     // Sides parked deep enough that each lives past a segment boundary.
     let cfg =
         Config::builder().segment_slots(2048).frame_bound(64).copy_bound(128).build().unwrap();
-    let (spacer, rounds) = (600u32, 20_000u32);
+    let caps = ["%call/cc", "%call/1cc"];
+    let srcs = caps.map(|cap| w::pingpong(cap, 600, 20_000));
     for s in Strategy::ALL {
-        for cap in ["%call/cc", "%call/1cc"] {
-            let src = w::pingpong(cap, spacer, rounds);
-            let r = measure_on(s, &cfg, &src);
-            let switches = r.metrics.reinstatements.max(1) as f64;
-            t.row([
-                s.to_string(),
-                cap.to_string(),
-                fmt_ns(r.nanos),
-                format!("{:.0}", r.nanos / switches),
-                format!("{:.1}", r.metrics.slots_copied as f64 / switches),
-                r.metrics.reinstates_relinked.to_string(),
-                r.metrics.slots_copy_avoided.to_string(),
+        let runs =
+            sample(caps.len(), |v| timed_eval(&mut engine(s, &cfg, CheckPolicy::Elide), &srcs[v]));
+        for (v, r) in runs.iter().enumerate() {
+            let m = &r.counters;
+            let switches = m.reinstatements;
+            t.row(vec![
+                name(s),
+                caps[v].into(),
+                r.time().into(),
+                if v == 0 { "(baseline)".into() } else { r.ratio().into() },
+                r.per(switches, "ns/switch").into(),
+                per_op(m.slots_copied, switches),
+                m.reinstates_relinked.into(),
+                m.slots_copy_avoided.into(),
             ]);
         }
     }
@@ -698,6 +761,28 @@ pub fn e16_pingpong() -> Table {
             uniformly); only the segmented machine converts it into zero-copy relinks",
     );
     t
+}
+
+/// Runs `rounds` capture/reset/reinstate rounds over a `depth`-frame core
+/// stack and times them; the one-shot target is uniquely owned, so it can
+/// be relinked, while the multi-shot one is copied.
+fn reinstate_rounds(cfg: &Config, depth: usize, rounds: u32, one_shot: bool) -> Run {
+    let code = Rc::new(TestCode::new());
+    let mut stack = SegmentedStack::<TestSlot>::new(cfg.clone(), code.clone()).unwrap();
+    sim::push_frames(&mut stack, &code, depth, 8);
+    stack.metrics_mut().reset();
+    let start = Instant::now();
+    for _ in 0..rounds {
+        sim::push_frames(&mut stack, &code, 1, 8);
+        let k = if one_shot { stack.capture_one_shot() } else { stack.capture() };
+        // Resume from an unrelated context (a scheduler's empty stack):
+        // the machine detaches from the sealed tower, so the only
+        // remaining handle is the continuation itself.
+        stack.reset();
+        stack.reinstate(&k).expect("reinstate");
+    }
+    let nanos = start.elapsed().as_nanos() as f64;
+    Run { nanos, counters: stack.metrics().clone(), value: String::new() }
 }
 
 /// E17 — reinstatement cost vs. chain depth: the unshared one-shot fast
@@ -717,8 +802,7 @@ pub fn e17_relink_depth() -> Table {
             "copy slots avoided",
         ],
     );
-    let rounds = 400u32;
-    let code = std::rc::Rc::new(TestCode::new());
+    let targets = ["one-shot (unshared)", "multi-shot (shared)"];
     for depth in [64usize, 256, 1024, 4096] {
         // One segment holds the whole tower and the copy bound never
         // splits, so the copy path pays the full image every time.
@@ -729,30 +813,17 @@ pub fn e17_relink_depth() -> Table {
             .copy_bound(slots)
             .build()
             .unwrap();
-        for one_shot in [true, false] {
-            let mut stack = SegmentedStack::<TestSlot>::new(cfg.clone(), code.clone()).unwrap();
-            sim::push_frames(&mut stack, &code, depth, 8);
-            stack.metrics_mut().reset();
-            let start = Instant::now();
-            for _ in 0..rounds {
-                sim::push_frames(&mut stack, &code, 1, 8);
-                let k = if one_shot { stack.capture_one_shot() } else { stack.capture() };
-                // Resume from an unrelated context (a scheduler's empty
-                // stack): the machine detaches from the sealed tower, so
-                // the only remaining handle is the continuation itself.
-                stack.reset();
-                stack.reinstate(&k).expect("reinstate");
-            }
-            let nanos = start.elapsed().as_nanos() as f64;
-            let m = stack.metrics();
-            let n = m.reinstatements.max(1) as f64;
-            t.row([
-                depth.to_string(),
-                if one_shot { "one-shot (unshared)" } else { "multi-shot (shared)" }.to_string(),
-                format!("{:.0}", nanos / n),
-                format!("{:.1}", m.slots_copied as f64 / n),
-                m.reinstates_relinked.to_string(),
-                m.slots_copy_avoided.to_string(),
+        let runs = sample(targets.len(), |v| reinstate_rounds(&cfg, depth, 400, v == 0));
+        for (target, r) in targets.into_iter().zip(&runs) {
+            let m = &r.counters;
+            let n = m.reinstatements;
+            t.row(vec![
+                depth.into(),
+                target.into(),
+                r.per(n, "ns/reinstate").into(),
+                per_op(m.slots_copied, n),
+                m.reinstates_relinked.into(),
+                m.slots_copy_avoided.into(),
             ]);
         }
     }
@@ -772,21 +843,22 @@ pub fn a1_tail_rule() -> Table {
          control stack grows without bound — the §4 looper failure",
         &["looper n", "rule", "time", "records allocated", "chain at end"],
     );
+    let cfgs = [Config::default(), Config::builder().disable_tail_capture_rule().build().unwrap()];
     for n in [20_000u32, 100_000] {
-        for on in [true, false] {
-            let cfg = if on {
-                Config::default()
-            } else {
-                Config::builder().disable_tail_capture_rule().build().unwrap()
-            };
-            let mut e = engine(Strategy::Segmented, &cfg, CheckPolicy::Elide);
-            let r = measure(&mut e, "", &w::looper(n));
-            t.row([
-                n.to_string(),
-                if on { "on (paper)" } else { "off (naive)" }.to_string(),
-                fmt_ns(r.nanos),
-                r.metrics.stack_records_allocated.to_string(),
-                e.stack_stats().chain_records.to_string(),
+        let src = w::looper(n);
+        let runs = sample(cfgs.len(), |v| {
+            let mut e = engine(Strategy::Segmented, &cfgs[v], CheckPolicy::Elide);
+            let r = timed_eval(&mut e, &src);
+            r.with(e.stack_stats().chain_records)
+        });
+        for (rule, r) in ["on (paper)", "off (naive)"].into_iter().zip(&runs) {
+            let (m, chain) = &r.counters;
+            t.row(vec![
+                n.into(),
+                rule.into(),
+                r.time().into(),
+                m.stack_records_allocated.into(),
+                (*chain).into(),
             ]);
         }
     }
@@ -803,21 +875,25 @@ pub fn a2_segment_size() -> Table {
         "A2 (ablation): segment size vs. overflow frequency",
         "segments are allocated in large chunks to reduce the frequency of stack \
          overflows (§4); small segments trade memory for overflow churn",
-        &["segment slots", "workload", "time", "overflows", "slots copied"],
+        &["workload", "segment slots", "time", "overflows", "slots copied"],
     );
-    for slots in [256usize, 1024, 4096, 16 * 1024, 64 * 1024] {
-        let cfg =
-            Config::builder().segment_slots(slots).frame_bound(64).copy_bound(128).build().unwrap();
-        for (name, src) in
-            [("deep-sum 60k", w::deep_sum(60_000)), ("ctak 14 10 4", w::ctak(14, 10, 4))]
-        {
-            let r = measure_on(Strategy::Segmented, &cfg, &src);
-            t.row([
-                slots.to_string(),
-                name.to_string(),
-                fmt_ns(r.nanos),
-                r.metrics.overflows.to_string(),
-                r.metrics.slots_copied.to_string(),
+    let sizes = [256usize, 1024, 4096, 16 * 1024, 64 * 1024];
+    let cfgs: Vec<Config> = sizes
+        .iter()
+        .map(|&slots| {
+            Config::builder().segment_slots(slots).frame_bound(64).copy_bound(128).build().unwrap()
+        })
+        .collect();
+    for (workload, src) in
+        [("deep-sum 60k", w::deep_sum(60_000)), ("ctak 14 10 4", w::ctak(14, 10, 4))]
+    {
+        for (slots, r) in sizes.into_iter().zip(&on_configs(&cfgs, &src)) {
+            t.row(vec![
+                workload.into(),
+                slots.into(),
+                r.time().into(),
+                r.counters.overflows.into(),
+                r.counters.slots_copied.into(),
             ]);
         }
     }
@@ -833,23 +909,28 @@ pub fn a3_pooling() -> Table {
          segments from the heap)",
         &["pool", "workload", "time", "fresh segments", "reused segments"],
     );
-    for pool in [0usize, 4] {
-        let cfg = Config::builder()
-            .segment_slots(512)
-            .frame_bound(48)
-            .copy_bound(32)
-            .pool_segments(pool)
-            .build()
-            .unwrap();
-        let src = "(define (sum n) (if (= n 0) 0 (+ n (sum (- n 1)))))
-                   (do ((i 0 (+ i 1))) ((= i 200)) (sum 100))";
-        let r = measure_on(Strategy::Segmented, &cfg, src);
-        t.row([
-            if pool == 0 { "off".into() } else { format!("{pool} segments") },
-            "200 x (sum 100)".to_string(),
-            fmt_ns(r.nanos),
-            r.metrics.segments_allocated.to_string(),
-            r.metrics.segments_reused.to_string(),
+    let pools = [0usize, 4];
+    let cfgs: Vec<Config> = pools
+        .iter()
+        .map(|&pool| {
+            Config::builder()
+                .segment_slots(512)
+                .frame_bound(48)
+                .copy_bound(32)
+                .pool_segments(pool)
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let src = "(define (sum n) (if (= n 0) 0 (+ n (sum (- n 1)))))
+               (do ((i 0 (+ i 1))) ((= i 200)) (sum 100))";
+    for (pool, r) in pools.into_iter().zip(&on_configs(&cfgs, src)) {
+        t.row(vec![
+            if pool == 0 { "off".into() } else { format!("{pool} segments").into() },
+            "200 x (sum 100)".into(),
+            r.time().into(),
+            r.counters.segments_allocated.into(),
+            r.counters.segments_reused.into(),
         ]);
     }
     t
@@ -875,7 +956,7 @@ pub fn e18_trace_overhead() -> Table {
          same statically dispatched segmented stack, so call-only work costs the \
          same traced or not; the recording ring prices every \
          capture/reinstate/overflow/underflow at one ring write",
-        &["workload", "tracing", "time", "overhead", "events recorded", "events dropped"],
+        &["workload", "tracing", "time", "vs untraced", "events recorded", "events dropped"],
     );
     let e16_cfg =
         Config::builder().segment_slots(2048).frame_bound(64).copy_bound(128).build().unwrap();
@@ -885,60 +966,32 @@ pub fn e18_trace_overhead() -> Table {
         ("pingpong %call/cc 600x6k (E16)", w::pingpong("%call/cc", 600, 6_000), e16_cfg.clone()),
         ("pingpong %call/1cc 600x20k (E16)", w::pingpong("%call/1cc", 600, 20_000), e16_cfg),
     ];
-    let reps = 5;
-    for (name, src, cfg) in workloads {
-        // One warm pass off the measured engines, then interleaved
-        // untraced/traced pairs: the host allocator's state drifts over a
-        // long harness run, so only a ratio taken *within* a pair isolates
-        // the tracing cost — the median pair ratio is the reported overhead.
-        engine(Strategy::Segmented, &cfg, CheckPolicy::Elide).eval(&src).expect("warmup");
-        let sink = Rc::new(RefCell::new(RingSink::new()));
-        let mut untraced_best = f64::MAX;
-        let mut traced_best = f64::MAX;
-        let mut ratios = Vec::with_capacity(reps);
-        for rep in 0..reps {
-            // Alternate which engine runs first within the pair, so any
-            // monotone drift inside a pair biases half the ratios up and
-            // half down — the median cancels it.
-            let run_untraced = |_: usize| {
-                let mut e = engine(Strategy::Segmented, &cfg, CheckPolicy::Elide);
-                measure(&mut e, "", &src)
-            };
-            let run_traced = |_: usize| {
-                sink.borrow_mut().reset();
-                let mut e = traced_engine(&cfg, sink.clone());
-                measure(&mut e, "", &src)
-            };
-            let (untraced, traced) = if rep % 2 == 0 {
-                let u = run_untraced(rep);
-                (u, run_traced(rep))
-            } else {
-                let t = run_traced(rep);
-                (run_untraced(rep), t)
-            };
-            untraced_best = untraced_best.min(untraced.nanos);
-            traced_best = traced_best.min(traced.nanos);
-            ratios.push(traced.nanos / untraced.nanos);
+    for (workload, src, cfg) in workloads {
+        let runs = sample(2, |v| {
+            if v == 0 {
+                return timed_eval(
+                    &mut engine(Strategy::Segmented, &cfg, CheckPolicy::Elide),
+                    &src,
+                )
+                .with((0, 0));
+            }
+            let sink = Rc::new(RefCell::new(RingSink::new()));
+            let r = timed_eval(&mut traced_engine(&cfg, sink.clone()), &src);
+            let ring = sink.borrow();
+            r.with((ring.total_recorded(), ring.dropped()))
+        });
+        for (v, tracing) in ["untraced", "traced"].into_iter().enumerate() {
+            let r = &runs[v];
+            let (recorded, dropped) = r.counters.1;
+            t.row(vec![
+                workload.into(),
+                tracing.into(),
+                r.time().into(),
+                if v == 0 { "(baseline)".into() } else { r.ratio().into() },
+                recorded.into(),
+                dropped.into(),
+            ]);
         }
-        ratios.sort_by(f64::total_cmp);
-        let overhead = (ratios[reps / 2] - 1.0) * 100.0;
-        let (recorded, dropped) = (sink.borrow().total_recorded(), sink.borrow().dropped());
-        t.row([
-            name.to_string(),
-            "untraced".to_string(),
-            fmt_ns(untraced_best),
-            "(baseline)".to_string(),
-            "0".to_string(),
-            "0".to_string(),
-        ]);
-        t.row([
-            name.to_string(),
-            "traced".to_string(),
-            fmt_ns(traced_best),
-            format!("{overhead:+.1}%"),
-            recorded.to_string(),
-            dropped.to_string(),
-        ]);
     }
     t.note(
         "measured on the segmented strategy, where every hook fires; call-only \
@@ -948,11 +1001,6 @@ pub fn e18_trace_overhead() -> Table {
     t.note(
         "the ring is drop-oldest at fixed capacity, so recording cost is flat: \
             aggregates (counts, histograms) survive any number of drops",
-    );
-    t.note(
-        "overhead is the median of per-pair time ratios (untraced and traced \
-            measured back-to-back), which cancels allocator drift across a long \
-            harness run; times shown are each engine's best rep",
     );
     t
 }
@@ -971,77 +1019,28 @@ pub fn e19_check_policies() -> Table {
          than the unchecked floor (Fig 8, §5)",
         &["workload", "policy", "time", "vs never", "checks executed", "ic hits", "ic misses"],
     );
-    // `Never` is only sound when the segment outruns the recursion.
-    let big = Config::builder().segment_slots(4 * 1024 * 1024).frame_bound(64).build().unwrap();
-    let mk = |policy: CheckPolicy| -> Engine {
-        Engine::builder()
-            .strategy(Strategy::Segmented)
-            .config(big.clone())
-            .check_policy(policy)
-            .build()
-            .expect("engine construction")
-    };
-    let reps = 5;
-    for (name, src) in [
+    let policies = [CheckPolicy::Never, CheckPolicy::Always, CheckPolicy::Elide];
+    for (workload, src) in [
         ("fib 22", w::fib(22)),
         ("tak 16 10 4", w::tak(16, 10, 4)),
         ("lcg-let-loop 300k", w::lcg_let_loop(300_000)),
         ("leaf-heavy sort 600", w::sort(600)),
         ("nested-helper 200k", w::nested_helper(200_000)),
     ] {
-        mk(CheckPolicy::Elide).eval(&src).expect("warmup");
-        let mut never_best = f64::MAX;
-        let mut never_metrics = Metrics::default();
-        for (label, policy) in [("always", CheckPolicy::Always), ("elide", CheckPolicy::Elide)] {
-            // Interleaved pairs (the E18 methodology): the policy under
-            // test and the `never` floor run back to back in alternating
-            // order, and the reported gap is the median per-pair ratio —
-            // allocator drift over the harness run cancels out.
-            let mut ratios = Vec::with_capacity(reps);
-            let mut best = f64::MAX;
-            let mut metrics = Metrics::default();
-            for rep in 0..reps {
-                let (p, n) = if rep % 2 == 0 {
-                    let p = measure(&mut mk(policy), "", &src);
-                    (p, measure(&mut mk(CheckPolicy::Never), "", &src))
-                } else {
-                    let n = measure(&mut mk(CheckPolicy::Never), "", &src);
-                    (measure(&mut mk(policy), "", &src), n)
-                };
-                assert_eq!(p.value, n.value, "{name}: policies must agree");
-                never_best = never_best.min(n.nanos);
-                best = best.min(p.nanos);
-                ratios.push(p.nanos / n.nanos);
-                metrics = p.metrics;
-                never_metrics = n.metrics;
-            }
-            ratios.sort_by(f64::total_cmp);
-            let gap = (ratios[reps / 2] - 1.0) * 100.0;
-            t.row([
-                name.to_string(),
-                label.to_string(),
-                fmt_ns(best),
-                format!("{gap:+.1}%"),
-                metrics.checks_executed.to_string(),
-                metrics.ic_hits.to_string(),
-                metrics.ic_misses.to_string(),
+        let runs = on_policies(&policies, &src);
+        for (v, label) in [(1, "always"), (2, "elide"), (0, "never")] {
+            let (r, m) = (&runs[v], &runs[v].counters);
+            t.row(vec![
+                workload.into(),
+                label.into(),
+                r.time().into(),
+                if v == 0 { "(floor)".into() } else { r.ratio().into() },
+                m.checks_executed.into(),
+                m.ic_hits.into(),
+                m.ic_misses.into(),
             ]);
         }
-        t.row([
-            name.to_string(),
-            "never".to_string(),
-            fmt_ns(never_best),
-            "(floor)".to_string(),
-            never_metrics.checks_executed.to_string(),
-            never_metrics.ic_hits.to_string(),
-            never_metrics.ic_misses.to_string(),
-        ]);
     }
-    t.note(
-        "vs-never is the median of per-pair time ratios (policy and floor \
-            measured back-to-back in alternating order); times shown are each \
-            policy's best rep",
-    );
     t.note(
         "lcg-let-loop and nested-helper are helper chains whose non-leaf calls \
             keep their checks under elide; the checks they execute cost no \
@@ -1084,7 +1083,6 @@ pub fn all() -> Vec<Experiment> {
         ("e12", e12_cont_intensive),
         ("e13", e13_typical),
         ("e14", e14_frame_sizes),
-        ("e15", e15_serve_scaling),
         ("e16", e16_pingpong),
         ("e17", e17_relink_depth),
         ("e18", e18_trace_overhead),
@@ -1095,30 +1093,119 @@ pub fn all() -> Vec<Experiment> {
     ]
 }
 
+/// The experiments `ids` name, in suite order; every experiment when
+/// `ids` is empty.
+///
+/// # Errors
+///
+/// Names the first unknown id and lists the known ones.
+pub fn select(ids: &[String]) -> Result<Vec<Experiment>, String> {
+    let all = all();
+    if let Some(bad) = ids.iter().find(|id| !all.iter().any(|(known, _)| known == id)) {
+        let known: Vec<&str> = all.iter().map(|(id, _)| *id).collect();
+        return Err(format!("unknown experiment id `{bad}`; known ids: {}", known.join(" ")));
+    }
+    Ok(all.into_iter().filter(|(id, _)| ids.is_empty() || ids.iter().any(|i| i == id)).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A run that took `nanos` and counted `counter`.
+    fn fake(nanos: f64, counter: u64, value: &str) -> Run<u64> {
+        Run { nanos, counters: counter, value: value.to_string() }
+    }
 
     /// Smoke-check the cheap experiments end to end (heavy ones run via the
     /// harness binary).
     #[test]
     fn frame_size_analysis_runs() {
         let t = e14_frame_sizes();
-        assert!(t.rows.iter().any(|r| r[0] == "% under 30 slots"));
+        assert!(t.rows.iter().any(|r| r[0] == Cell::from("% under 30 slots")));
     }
 
     #[test]
     fn walk_experiment_runs() {
         let t = e04_walk();
         assert_eq!(t.rows.len(), 3);
+        assert!(t.rows.iter().all(|r| matches!(r[1], Cell::Sampled(Stat { reps: ROUNDS, .. }))));
     }
 
     #[test]
-    fn measure_reports_counters() {
+    fn timed_eval_reports_counters() {
         let mut e = engine(Strategy::Segmented, &Config::default(), CheckPolicy::Elide);
-        let r = measure(&mut e, "(define (f x) (+ x 1))", "(f 1)");
+        e.eval("(define (f x) (+ x 1))").unwrap();
+        let r = timed_eval(&mut e, "(f 1)");
         assert_eq!(r.value, "2");
-        assert!(r.metrics.call_interface_ops() >= 1);
+        assert!(r.counters.call_interface_ops() >= 1);
         assert!(r.nanos > 0.0);
+    }
+
+    #[test]
+    fn sampler_warms_up_then_alternates_order() {
+        let mut order = Vec::new();
+        sample(3, |v| {
+            order.push(v);
+            fake(1.0, 0, "")
+        });
+        let (warm, rounds) = order.split_at(3);
+        assert_eq!(warm, [0, 1, 2]);
+        assert_eq!(rounds.len(), 3 * ROUNDS);
+        for (round, chunk) in rounds.chunks(3).enumerate() {
+            let expect = if round % 2 == 0 { [0, 1, 2] } else { [2, 1, 0] };
+            assert_eq!(chunk, expect, "round {round}");
+        }
+    }
+
+    #[test]
+    fn sampler_reports_quartiles_and_paired_ratios() {
+        // Variant 0 takes 10, 70, 30, 50, 20, 60, 40 ns over the rounds;
+        // variant 1 always takes twice as long as variant 0 in its round.
+        let times = [10.0, 70.0, 30.0, 50.0, 20.0, 60.0, 40.0];
+        let mut calls = [0usize; 2];
+        let runs = sample(2, |v| {
+            // The warm-up run is call 0 of each variant.
+            let round = calls[v].saturating_sub(1);
+            calls[v] += 1;
+            fake(times[round] * (v + 1) as f64, 9, "ok")
+        });
+        let t0 = runs[0].time();
+        assert_eq!((t0.q1, t0.median, t0.q3, t0.reps, t0.unit), (30.0, 40.0, 60.0, ROUNDS, "ns"));
+        let per = runs[0].per(10, "ns/op");
+        assert_eq!((per.q1, per.median, per.q3), (3.0, 4.0, 6.0));
+        let ratio = runs[1].ratio();
+        assert_eq!((ratio.q1, ratio.median, ratio.q3, ratio.unit), (2.0, 2.0, 2.0, "x"));
+        assert!(runs[0].ratios.iter().all(|&r| r == 1.0));
+        assert_eq!(runs[1].counters, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "variant 1: counters differ between rounds")]
+    fn sampler_rejects_counters_that_do_not_repeat() {
+        let mut calls = 0;
+        sample(2, |v| {
+            calls += 1;
+            fake(1.0, if v == 1 { calls } else { 0 }, "")
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "variant 1 printed a different value")]
+    fn sampler_rejects_variants_that_disagree() {
+        sample(2, |v| fake(1.0, 0, if v == 0 { "1" } else { "2" }));
+    }
+
+    #[test]
+    fn select_runs_known_ids_in_suite_order() {
+        let ids = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let picked = select(&ids(&["a1", "e02"])).unwrap();
+        assert_eq!(picked.iter().map(|(id, _)| *id).collect::<Vec<_>>(), ["e02", "a1"]);
+        assert_eq!(select(&[]).unwrap().len(), 21);
+        for bad in [&["e14", "bogus"][..], &["e15"], &["all"]] {
+            let err = select(&ids(bad)).expect_err("unknown id is an error");
+            assert!(err.contains(bad[bad.len() - 1]), "{err}");
+            assert!(err.contains("e01") && err.contains("a3"), "{err}");
+        }
     }
 }

@@ -1,21 +1,5 @@
-//! Load generation against the `segstack-serve` runtime.
-//!
-//! Shared by the `loadgen` binary and experiment E15: builds a
-//! deterministic mixed workload (call-intensive, deep-recursive,
-//! tail-looping and continuation-heavy jobs across all strategies),
-//! drives it through a [`Runtime`], and reduces the outcomes to
-//! throughput, latency percentiles and per-strategy fairness.
-
-use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
-
-use segstack_baselines::Strategy;
-use segstack_core::rng::SplitMix64;
-use segstack_core::trace::OwnerTrace;
-// Exact nearest-rank percentile, shared with the histogram module so the
-// approximate (bucketed) readouts are checked against the same contract.
-pub use segstack_core::trace::percentile;
-use segstack_serve::{Request, Runtime, RuntimeConfig, RuntimeSnapshot};
+//! The serve job mix: the four job classes the end-to-end benchmark
+//! (`segbench serve`) submits to the `segstack-serve` runtime.
 
 use crate::workloads as w;
 
@@ -30,8 +14,7 @@ pub struct JobClass {
     pub expect: &'static str,
 }
 
-/// The four-class mix from the issue: fib / tak / tail-loop /
-/// call-cc-heavy.
+/// The four-class mix: fib / tak / tail-loop / call-cc-heavy.
 pub fn job_classes() -> Vec<JobClass> {
     vec![
         JobClass { name: "fib", program: w::fib(18), expect: "2584" },
@@ -39,186 +22,4 @@ pub fn job_classes() -> Vec<JobClass> {
         JobClass { name: "tail-loop", program: w::tail_loop(30_000), expect: "30000" },
         JobClass { name: "ctak", program: w::ctak(12, 8, 4), expect: "5" },
     ]
-}
-
-/// One finished job, reduced to what the reports need.
-pub struct Sample {
-    /// Workload-class name.
-    pub class: &'static str,
-    /// Strategy the job ran on.
-    pub strategy: Strategy,
-    /// Submission-to-outcome latency.
-    pub latency: Duration,
-    /// Engine quanta the job was granted.
-    pub quanta: u64,
-    /// Timer ticks the job consumed.
-    pub ticks: u64,
-}
-
-/// The outcome of one load run.
-pub struct LoadReport {
-    /// Worker count the runtime ran with.
-    pub workers: usize,
-    /// Jobs submitted (all of them — the generator blocks, never drops).
-    pub submitted: usize,
-    /// Jobs that returned their expected value.
-    pub completed: usize,
-    /// Jobs with any other outcome (wrong value, error, cancellation).
-    pub failed: usize,
-    /// Wall-clock time from first submission to last outcome.
-    pub wall: Duration,
-    /// Per-job samples, submission order.
-    pub samples: Vec<Sample>,
-    /// Final runtime metrics.
-    pub snapshot: RuntimeSnapshot,
-    /// Per-worker event traces (empty unless tracing was requested).
-    pub traces: Vec<OwnerTrace>,
-}
-
-impl LoadReport {
-    /// Aggregate throughput in jobs per second.
-    pub fn throughput(&self) -> f64 {
-        self.completed as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Latency percentile (0.0..=1.0) over all samples.
-    pub fn latency_pct(&self, p: f64) -> Duration {
-        percentile(self.samples.iter().map(|s| s.latency), p)
-    }
-
-    /// Samples grouped by strategy, in `Strategy::ALL` order.
-    pub fn by_strategy(&self) -> BTreeMap<String, Vec<&Sample>> {
-        let mut m = BTreeMap::new();
-        for s in &self.samples {
-            m.entry(s.strategy.to_string()).or_insert_with(Vec::new).push(s);
-        }
-        m
-    }
-
-    /// Samples grouped by workload class.
-    pub fn by_class(&self) -> BTreeMap<&'static str, Vec<&Sample>> {
-        let mut m = BTreeMap::new();
-        for s in &self.samples {
-            m.entry(s.class).or_insert_with(Vec::new).push(s);
-        }
-        m
-    }
-
-    /// Fairness across strategies: slowest mean latency over fastest.
-    /// 1.0 is perfectly fair; large values mean some strategy's jobs
-    /// were starved.
-    pub fn fairness(&self) -> f64 {
-        let means: Vec<f64> = self
-            .by_strategy()
-            .values()
-            .filter(|v| !v.is_empty())
-            .map(|v| v.iter().map(|s| s.latency.as_secs_f64()).sum::<f64>() / v.len() as f64)
-            .collect();
-        let max = means.iter().cloned().fold(f64::MIN, f64::max);
-        let min = means.iter().cloned().fold(f64::MAX, f64::min);
-        if min <= 0.0 {
-            1.0
-        } else {
-            max / min
-        }
-    }
-}
-
-/// Runs `jobs` mixed jobs through a fresh runtime with `workers` workers.
-///
-/// Classes and strategies are interleaved round-robin and the submission
-/// order is shuffled with `seed`, so every run of the same seed submits
-/// the identical job sequence. Submission uses the blocking `submit`, so
-/// a full queue applies back-pressure instead of dropping.
-pub fn run_load(workers: usize, jobs: usize, quantum: u64, seed: u64) -> LoadReport {
-    run_load_traced(workers, jobs, quantum, seed, false)
-}
-
-/// [`run_load`] with optional per-worker event tracing; the drained
-/// traces land in [`LoadReport::traces`], ready for
-/// [`segstack_core::trace::chrome_trace_json`].
-pub fn run_load_traced(
-    workers: usize,
-    jobs: usize,
-    quantum: u64,
-    seed: u64,
-    tracing: bool,
-) -> LoadReport {
-    let classes = job_classes();
-    let mut order: Vec<usize> = (0..jobs).collect();
-    let mut rng = SplitMix64::new(seed);
-    rng.shuffle(&mut order);
-
-    let rt = Runtime::start(
-        RuntimeConfig::with_workers(workers)
-            .quantum(quantum)
-            .queue_depth(jobs.max(1))
-            .tracing(tracing),
-    );
-    let start = Instant::now();
-    let mut handles = Vec::with_capacity(jobs);
-    for &i in &order {
-        let class = &classes[i % classes.len()];
-        let strategy = Strategy::ALL[i % Strategy::ALL.len()];
-        let req = Request::new(class.program.clone()).strategy(strategy);
-        let handle = rt.submit(req).expect("runtime accepting submissions");
-        handles.push((class.name, class.expect, strategy, handle));
-    }
-
-    let mut samples = Vec::with_capacity(jobs);
-    let mut completed = 0usize;
-    let mut failed = 0usize;
-    for (class, expect, strategy, handle) in handles {
-        let outcome = handle.wait();
-        match &outcome.result {
-            Ok(v) if v == expect => completed += 1,
-            _ => failed += 1,
-        }
-        samples.push(Sample {
-            class,
-            strategy,
-            latency: outcome.latency,
-            quanta: outcome.quanta,
-            ticks: outcome.ticks,
-        });
-    }
-    let wall = start.elapsed();
-    let (snapshot, traces) = rt.shutdown_traced();
-    LoadReport { workers, submitted: jobs, completed, failed, wall, samples, snapshot, traces }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn small_load_completes_everything() {
-        let r = run_load(2, 24, 2_000, 7);
-        assert_eq!(r.submitted, 24);
-        assert_eq!(r.completed, 24);
-        assert_eq!(r.failed, 0);
-        assert_eq!(r.snapshot.total().completed, 24);
-        assert_eq!(r.by_class().len(), 4);
-        assert_eq!(r.by_strategy().len(), Strategy::ALL.len());
-        assert!(r.fairness() >= 1.0);
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        // Contract check on the re-exported helper: the bench reports
-        // depend on exact nearest-rank semantics.
-        let v = [1u64, 2, 3, 4].map(Duration::from_secs);
-        assert_eq!(percentile(v.iter().copied(), 0.0), Duration::from_secs(1));
-        assert_eq!(percentile(v.iter().copied(), 1.0), Duration::from_secs(4));
-        assert_eq!(percentile(v.iter().copied(), 0.5), Duration::from_secs(3));
-    }
-
-    #[test]
-    fn traced_load_collects_worker_timelines() {
-        let r = run_load_traced(2, 8, 2_000, 3, true);
-        assert_eq!(r.completed, 8);
-        assert!(!r.traces.is_empty() && r.traces.len() <= 2, "one trace per worker that ran");
-        let doc = segstack_core::trace::chrome_trace_json(&r.traces);
-        segstack_core::trace::validate_chrome_trace(&doc).expect("loadgen trace must validate");
-    }
 }

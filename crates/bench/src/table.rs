@@ -1,6 +1,146 @@
-//! Plain-text result tables for the experiment harness.
+//! Result tables for the experiment harness: typed cells, rendered as
+//! aligned text or as one JSON object.
 
 use std::fmt;
+
+use segstack_core::trace::percentile;
+
+/// A sampled measurement: the median and quartiles of `reps` rounds.
+///
+/// `unit` is `"ns"` for a whole run's time, `"ns/<op>"` for a time per
+/// operation, and `"x"` for a ratio of two times taken in the same round.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Stat {
+    /// The median round.
+    pub median: f64,
+    /// The lower quartile.
+    pub q1: f64,
+    /// The upper quartile.
+    pub q3: f64,
+    /// How many rounds were sampled.
+    pub reps: usize,
+    /// What the numbers count.
+    pub unit: &'static str,
+}
+
+impl Stat {
+    /// The median and quartiles of `samples`, by the exact nearest-rank
+    /// [`percentile`].
+    pub fn of(samples: &[f64], unit: &'static str) -> Stat {
+        let at = |p: f64| percentile(samples.iter().copied(), p);
+        Stat { median: at(0.5), q1: at(0.25), q3: at(0.75), reps: samples.len(), unit }
+    }
+}
+
+impl fmt::Display for Stat {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Stat { median, q1, q3, .. } = *self;
+        if self.unit == "x" {
+            return write!(f, "{median:.2}x [{q1:.2}, {q3:.2}]");
+        }
+        if self.unit != "ns" {
+            // Per-operation times keep their unit in the column header.
+            let digits = if median < 100.0 { 1 } else { 0 };
+            return write!(f, "{median:.digits$} [{q1:.digits$}, {q3:.digits$}]");
+        }
+        let (scale, suffix) = match median {
+            m if m >= 1e6 => (1e6, "ms"),
+            m if m >= 1e3 => (1e3, "us"),
+            _ => (1.0, "ns"),
+        };
+        let digits = if scale == 1.0 { 0 } else { 2 };
+        write!(
+            f,
+            "{:.digits$} [{:.digits$}, {:.digits$}] {suffix}",
+            median / scale,
+            q1 / scale,
+            q3 / scale
+        )
+    }
+}
+
+/// One table cell.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Cell {
+    /// A label: a workload, strategy or setting name.
+    Text(String),
+    /// An exact, host-independent number: a parameter, a counter, or a
+    /// ratio of counters.
+    Exact(f64),
+    /// A sampled wall-clock time or time ratio.
+    Sampled(Stat),
+}
+
+impl From<&str> for Cell {
+    fn from(s: &str) -> Cell {
+        Cell::Text(s.to_string())
+    }
+}
+
+impl From<String> for Cell {
+    fn from(s: String) -> Cell {
+        Cell::Text(s)
+    }
+}
+
+impl From<f64> for Cell {
+    fn from(v: f64) -> Cell {
+        Cell::Exact(v)
+    }
+}
+
+impl From<u64> for Cell {
+    fn from(v: u64) -> Cell {
+        Cell::Exact(v as f64)
+    }
+}
+
+impl From<usize> for Cell {
+    fn from(v: usize) -> Cell {
+        Cell::Exact(v as f64)
+    }
+}
+
+impl From<u32> for Cell {
+    fn from(v: u32) -> Cell {
+        Cell::Exact(v.into())
+    }
+}
+
+impl From<Stat> for Cell {
+    fn from(s: Stat) -> Cell {
+        Cell::Sampled(s)
+    }
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cell::Text(s) => f.pad(s),
+            Cell::Exact(v) if v.fract() == 0.0 => f.pad(&format!("{v:.0}")),
+            Cell::Exact(v) => f.pad(&format!("{v:.1}")),
+            Cell::Sampled(s) => f.pad(&s.to_string()),
+        }
+    }
+}
+
+impl Cell {
+    /// The cell as a JSON value: a string, a number, or a sampled object.
+    fn to_json(&self) -> String {
+        match self {
+            Cell::Text(s) => format!("\"{}\"", json_escape(s)),
+            Cell::Exact(v) => json_num(*v),
+            Cell::Sampled(s) => format!(
+                "{{\"median\":{},\"q1\":{},\"q3\":{},\"reps\":{},\"unit\":\"{}\"}}",
+                json_num(s.median),
+                json_num(s.q1),
+                json_num(s.q3),
+                s.reps,
+                json_escape(s.unit)
+            ),
+        }
+    }
+}
 
 /// One experiment's result table.
 #[derive(Clone, Debug)]
@@ -12,7 +152,7 @@ pub struct Table {
     /// Column headers.
     pub headers: Vec<String>,
     /// Data rows.
-    pub rows: Vec<Vec<String>>,
+    pub rows: Vec<Vec<Cell>>,
     /// Free-form observations appended under the table.
     pub notes: Vec<String>,
 }
@@ -30,8 +170,7 @@ impl Table {
     }
 
     /// Appends a data row.
-    pub fn row<I: IntoIterator<Item = String>>(&mut self, cells: I) {
-        let cells: Vec<String> = cells.into_iter().collect();
+    pub fn row(&mut self, cells: Vec<Cell>) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch in {}", self.title);
         self.rows.push(cells);
     }
@@ -42,15 +181,20 @@ impl Table {
     }
 
     /// Renders the table as one JSON object (hand-rolled: the workspace
-    /// deliberately has no serialization dependency). Cells stay strings —
-    /// consumers parse the few numeric columns they care about.
+    /// deliberately has no serialization dependency). Text cells are
+    /// strings, exact cells numbers, and sampled cells objects with
+    /// `median`, `q1`, `q3`, `reps` and `unit`.
     pub fn to_json(&self) -> String {
         let strs = |items: &[String]| -> String {
             let quoted: Vec<String> =
                 items.iter().map(|s| format!("\"{}\"", json_escape(s))).collect();
             format!("[{}]", quoted.join(","))
         };
-        let rows: Vec<String> = self.rows.iter().map(|r| strs(r)).collect();
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| format!("[{}]", r.iter().map(Cell::to_json).collect::<Vec<_>>().join(",")))
+            .collect();
         format!(
             "{{\"title\":\"{}\",\"claim\":\"{}\",\"headers\":{},\"rows\":[{}],\"notes\":{}}}",
             json_escape(&self.title),
@@ -60,23 +204,20 @@ impl Table {
             strs(&self.notes),
         )
     }
-
-    fn widths(&self) -> Vec<usize> {
-        let mut w: Vec<usize> = self.headers.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                w[i] = w[i].max(cell.len());
-            }
-        }
-        w
-    }
 }
 
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "## {}", self.title)?;
         writeln!(f, "claim: {}", self.claim)?;
-        let w = self.widths();
+        let cells: Vec<Vec<String>> =
+            self.rows.iter().map(|r| r.iter().map(Cell::to_string).collect()).collect();
+        let mut w: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
+        for row in &cells {
+            for (i, cell) in row.iter().enumerate() {
+                w[i] = w[i].max(cell.chars().count());
+            }
+        }
         let line = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {
             write!(f, "|")?;
             for (i, c) in cells.iter().enumerate() {
@@ -90,13 +231,24 @@ impl fmt::Display for Table {
             write!(f, "{:-<width$}|", "", width = width + 2)?;
         }
         writeln!(f)?;
-        for row in &self.rows {
+        for row in &cells {
             line(f, row)?;
         }
         for n in &self.notes {
             writeln!(f, "note: {n}")?;
         }
         Ok(())
+    }
+}
+
+/// A number as JSON: the shortest decimal that reads back as `v`, so a
+/// table rendered from the snapshot matches the harness's own output
+/// digit for digit (`null` if not finite).
+fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        v.to_string()
+    } else {
+        "null".to_string()
     }
 }
 
@@ -117,31 +269,19 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Formats a nanoseconds-per-op figure compactly.
-pub fn fmt_ns(ns: f64) -> String {
-    if ns >= 1_000_000.0 {
-        format!("{:.2} ms", ns / 1_000_000.0)
-    } else if ns >= 1_000.0 {
-        format!("{:.2} us", ns / 1_000.0)
-    } else {
-        format!("{ns:.0} ns")
-    }
-}
-
-/// Formats a ratio like `1.73x`.
-pub fn fmt_ratio(r: f64) -> String {
-    format!("{r:.2}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn stat(median: f64, q1: f64, q3: f64, unit: &'static str) -> Stat {
+        Stat { median, q1, q3, reps: 7, unit }
+    }
+
     #[test]
     fn renders_aligned_table() {
         let mut t = Table::new("E0: demo", "demo claim", &["name", "value"]);
-        t.row(["segmented".to_string(), "1".to_string()]);
-        t.row(["heap".to_string(), "12345".to_string()]);
+        t.row(vec!["segmented".into(), 1u64.into()]);
+        t.row(vec!["heap".into(), 12345u64.into()]);
         t.note("a note");
         let s = t.to_string();
         assert!(s.contains("## E0: demo"));
@@ -153,27 +293,45 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn rejects_bad_rows() {
         let mut t = Table::new("t", "c", &["a", "b"]);
-        t.row(["only-one".to_string()]);
+        t.row(vec!["only-one".into()]);
     }
 
     #[test]
-    fn json_rendering_escapes_and_structures() {
-        let mut t = Table::new("E0: \"demo\"", "claim\nline", &["a", "b"]);
-        t.row(["x".to_string(), "1".to_string()]);
+    fn json_rendering_types_every_cell() {
+        let mut t = Table::new("E0: \"demo\"", "claim\nline", &["a", "b", "c", "d"]);
+        t.row(vec![
+            "x".into(),
+            57313u64.into(),
+            12.5.into(),
+            stat(2_000_000.0, 1_900_000.0, 2_100_000.0, "ns").into(),
+        ]);
         t.note("n1");
         let j = t.to_json();
         assert!(j.contains("\"title\":\"E0: \\\"demo\\\"\""));
         assert!(j.contains("\"claim\":\"claim\\nline\""));
-        assert!(j.contains("\"headers\":[\"a\",\"b\"]"));
-        assert!(j.contains("\"rows\":[[\"x\",\"1\"]]"));
+        assert!(j.contains("\"headers\":[\"a\",\"b\",\"c\",\"d\"]"));
+        assert!(j.contains(
+            "\"rows\":[[\"x\",57313,12.5,{\"median\":2000000,\"q1\":1900000,\
+             \"q3\":2100000,\"reps\":7,\"unit\":\"ns\"}]]"
+        ));
         assert!(j.contains("\"notes\":[\"n1\"]"));
     }
 
     #[test]
-    fn formats_durations_and_ratios() {
-        assert_eq!(fmt_ns(12.0), "12 ns");
-        assert_eq!(fmt_ns(4_500.0), "4.50 us");
-        assert_eq!(fmt_ns(2_000_000.0), "2.00 ms");
-        assert_eq!(fmt_ratio(1.234), "1.23x");
+    fn formats_cells_by_kind() {
+        assert_eq!(Cell::from(300_001u64).to_string(), "300001");
+        assert_eq!(Cell::from(12.26).to_string(), "12.3");
+        assert_eq!(stat(12.0, 11.0, 13.0, "ns").to_string(), "12 [11, 13] ns");
+        assert_eq!(stat(4_500.0, 4_400.0, 4_750.0, "ns").to_string(), "4.50 [4.40, 4.75] us");
+        assert_eq!(stat(2e6, 1.9e6, 2.1e6, "ns").to_string(), "2.00 [1.90, 2.10] ms");
+        assert_eq!(stat(146.4, 140.2, 160.9, "ns/call-op").to_string(), "146 [140, 161]");
+        assert_eq!(stat(13.94, 13.5, 14.0, "ns/frame").to_string(), "13.9 [13.5, 14.0]");
+        assert_eq!(stat(1.234, 1.2, 1.31, "x").to_string(), "1.23x [1.20, 1.31]");
+    }
+
+    #[test]
+    fn stat_reads_nearest_rank_quartiles() {
+        let s = Stat::of(&[7.0, 1.0, 6.0, 2.0, 5.0, 3.0, 4.0], "ns");
+        assert_eq!((s.q1, s.median, s.q3, s.reps), (3.0, 4.0, 6.0, 7));
     }
 }

@@ -86,11 +86,6 @@ impl Metrics {
         self.calls + self.tail_calls + self.returns
     }
 
-    /// Adds every counter of `other` into `self`.
-    pub fn absorb(&mut self, other: &Metrics) {
-        self.merge(other);
-    }
-
     /// Merges `other` into `self` counter by counter — lossless
     /// aggregation of per-worker records into a runtime-wide total
     /// (saturating, so a pathological sum cannot wrap).
@@ -245,16 +240,6 @@ mod tests {
     fn call_interface_ops_sums_calls_and_returns() {
         let m = Metrics { calls: 3, tail_calls: 2, returns: 4, ..Metrics::default() };
         assert_eq!(m.call_interface_ops(), 9);
-    }
-
-    #[test]
-    fn absorb_adds_fieldwise() {
-        let mut a = Metrics { calls: 1, splits: 2, ..Metrics::default() };
-        let b = Metrics { calls: 10, underflows: 7, ..Metrics::default() };
-        a.absorb(&b);
-        assert_eq!(a.calls, 11);
-        assert_eq!(a.splits, 2);
-        assert_eq!(a.underflows, 7);
     }
 
     #[test]

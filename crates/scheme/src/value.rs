@@ -250,14 +250,26 @@ impl Value {
         }
     }
 
-    /// Structural equality (`equal?`).
+    /// Structural equality (`equal?`). Walks a list's cdr chain in a loop,
+    /// so only car and vector-element nesting uses the host stack.
     pub fn equal_value(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Str(a), Value::Str(b)) => *a.borrow() == *b.borrow(),
             (Value::Pair(a), Value::Pair(b)) => {
-                Rc::ptr_eq(a, b)
-                    || (a.car.borrow().equal_value(&b.car.borrow())
-                        && a.cdr.borrow().equal_value(&b.cdr.borrow()))
+                let (mut a, mut b) = (a.clone(), b.clone());
+                loop {
+                    if Rc::ptr_eq(&a, &b) {
+                        return true;
+                    }
+                    if !a.car.borrow().equal_value(&b.car.borrow()) {
+                        return false;
+                    }
+                    let next = match (&*a.cdr.borrow(), &*b.cdr.borrow()) {
+                        (Value::Pair(x), Value::Pair(y)) => (x.clone(), y.clone()),
+                        (x, y) => return x.equal_value(y),
+                    };
+                    (a, b) = next;
+                }
             }
             (Value::Vector(a), Value::Vector(b)) => {
                 Rc::ptr_eq(a, b) || {
@@ -540,6 +552,14 @@ mod tests {
         assert!(s1.equal_value(&s2));
 
         assert!(Value::sym("x").eq_value(&Value::sym("x")));
+    }
+
+    #[test]
+    fn equal_walks_long_lists_without_recursing_on_the_cdr() {
+        let long = |last: i64| Value::list((0..300_000).map(Value::Fixnum).chain([last.into()]));
+        assert!(long(-1).equal_value(&long(-1)));
+        assert!(!long(-1).equal_value(&long(-2)));
+        assert!(!long(-1).equal_value(&Value::list((0..300_000).map(Value::Fixnum))));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! path (`leading_zeros` + increment); readout reports nearest-rank
 //! percentiles at bucket resolution, clamped to the exact observed max.
 
+use std::cmp::Ordering;
 use std::fmt;
-use std::time::Duration;
 
 /// Number of buckets: one per possible bit length of a `u64`, plus the
 /// dedicated zero bucket.
@@ -153,21 +153,24 @@ pub struct HistSummary {
     pub max: u64,
 }
 
-/// Exact nearest-rank percentile over raw durations (`p` in
-/// `0.0..=1.0`). This is the reference the bucketed
-/// [`Histogram::percentile`] approximates; `loadgen` uses it for final
-/// reports where all samples are retained.
-pub fn percentile(latencies: impl Iterator<Item = Duration>, p: f64) -> Duration {
-    let mut v: Vec<Duration> = latencies.collect();
+/// Exact nearest-rank percentile over raw samples (`p` in `0.0..=1.0`):
+/// the sample at rank `round((n - 1) * p)`, or the default (zero) when
+/// there are none. This is the reference the bucketed
+/// [`Histogram::percentile`] approximates; the experiment harness reads
+/// every sampled median and quartile through it.
+pub fn percentile<T: Copy + PartialOrd + Default>(samples: impl Iterator<Item = T>, p: f64) -> T {
+    let mut v: Vec<T> = samples.collect();
     if v.is_empty() {
-        return Duration::ZERO;
+        return T::default();
     }
-    v.sort_unstable();
+    v.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
     v[(((v.len() - 1) as f64) * p.clamp(0.0, 1.0)).round() as usize]
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     #[test]
@@ -234,6 +237,9 @@ mod tests {
         assert_eq!(percentile(v.iter().copied(), 0.0), Duration::from_secs(1));
         assert_eq!(percentile(v.iter().copied(), 1.0), Duration::from_secs(4));
         assert_eq!(percentile(v.iter().copied(), 0.5), Duration::from_secs(3));
-        assert_eq!(percentile(std::iter::empty(), 0.5), Duration::ZERO);
+        assert_eq!(percentile(std::iter::empty::<Duration>(), 0.5), Duration::ZERO);
+        let ratios = [1.5, 0.5, 1.0];
+        assert_eq!(percentile(ratios.iter().copied(), 0.5), 1.0);
+        assert_eq!(percentile(std::iter::empty::<f64>(), 0.5), 0.0);
     }
 }
