@@ -20,8 +20,9 @@
 //!    `call/cc`-heavy Scheme programs run differentially on full engines,
 //!    directly and through the `serve` runtime under preemption.
 //!
-//! Failures shrink automatically ([`shrink`]) to a locally minimal trace
-//! and print as a replayable `--seed` literal; see `docs/FUZZING.md`.
+//! Failures shrink automatically ([`shrink`](mod@shrink)) to a locally
+//! minimal trace and print as a replayable `--seed` literal; see
+//! `docs/FUZZING.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

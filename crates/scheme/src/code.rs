@@ -212,32 +212,17 @@ pub enum Instr {
         /// Number of arguments staged.
         nargs: u16,
     },
-    /// Superinstruction: a [`Instr::CallGlobal`] whose return point is
-    /// immediately followed by `JumpIfFalse(target)` (fused test+branch).
-    /// The physical layout `[FrameSize, CallGlobalBr, FrameSize(d),
-    /// JumpIfFalse(target)]` is preserved, so closure returns execute the
-    /// real `JumpIfFalse` at the return point; only the inline-cached
-    /// primitive hit takes the fused branch directly.
-    CallGlobalBr {
-        /// Global slot of the operator.
-        g: u32,
-        /// Inline-cache index into [`Chunk::ics`].
-        ic: u32,
-        /// Frame displacement.
-        d: u16,
-        /// Number of arguments staged.
-        nargs: u16,
-        /// How this site treats the stack-overflow check.
-        check: Check,
-        /// Branch target taken when the primitive result is `#f`.
-        target: u32,
-    },
     /// Return `acc` to the current frame's return address.
     Return,
     /// The frame-size data word placed in the code stream (never executed;
     /// stack walkers read it through the return address).
     FrameSize(u32),
 }
+
+// The dispatch loop clones one `Instr` per step. A fused test+branch call
+// with one more `u32` field once made every instruction 24 bytes, and the
+// call-heavy workload measurably slower; keep the enum at 16.
+const _: () = assert!(std::mem::size_of::<Instr>() <= 16);
 
 /// A compiled code chunk: one lambda body or one top-level form.
 #[derive(Debug)]
@@ -347,10 +332,16 @@ impl CodeStore {
             for (i, instr) in chunk.instrs.iter().enumerate() {
                 let framesize_at =
                     |j: usize| matches!(chunk.instrs.get(j), Some(Instr::FrameSize(_)));
+                if let Instr::CallGlobal { ic, .. } | Instr::TailCallGlobal { ic, .. } = instr {
+                    if *ic as usize >= chunk.ics.len() {
+                        err(
+                            i,
+                            format!("inline-cache index {ic} outside table of {}", chunk.ics.len()),
+                        );
+                    }
+                }
                 match instr {
-                    Instr::Call { d, nargs, .. }
-                    | Instr::CallGlobal { d, nargs, .. }
-                    | Instr::CallGlobalBr { d, nargs, .. } => {
+                    Instr::Call { d, nargs, .. } | Instr::CallGlobal { d, nargs, .. } => {
                         if i == 0 || !framesize_at(i - 1) {
                             err(i, "call not preceded by a frame-size word".into());
                         }
@@ -367,33 +358,6 @@ impl CodeStore {
                                 ),
                             );
                         }
-                        if let Instr::CallGlobal { ic, .. } | Instr::CallGlobalBr { ic, .. } = instr
-                        {
-                            if *ic as usize >= chunk.ics.len() {
-                                err(
-                                    i,
-                                    format!(
-                                        "inline-cache index {ic} outside table of {}",
-                                        chunk.ics.len()
-                                    ),
-                                );
-                            }
-                        }
-                        if let Instr::CallGlobalBr { target, .. } = instr {
-                            if *target as usize > n {
-                                err(i, format!("fused branch target {target} outside chunk"));
-                            }
-                            match chunk.instrs.get(i + 2) {
-                                Some(Instr::JumpIfFalse(t)) if t == target => {}
-                                other => err(
-                                    i,
-                                    format!(
-                                        "fused test+branch return point is not the matching \
-                                         JumpIfFalse({target}) (found {other:?})"
-                                    ),
-                                ),
-                            }
-                        }
                     }
                     Instr::TailCall { src, nargs } | Instr::TailCallGlobal { src, nargs, .. } => {
                         if i == 0 || !framesize_at(i - 1) {
@@ -401,17 +365,6 @@ impl CodeStore {
                         }
                         if usize::from(src + 1 + nargs) > usize::from(chunk.frame_slots) {
                             err(i, "tail call stages beyond the recorded frame size".into());
-                        }
-                        if let Instr::TailCallGlobal { ic, .. } = instr {
-                            if *ic as usize >= chunk.ics.len() {
-                                err(
-                                    i,
-                                    format!(
-                                        "inline-cache index {ic} outside table of {}",
-                                        chunk.ics.len()
-                                    ),
-                                );
-                            }
                         }
                     }
                     Instr::Move { src, dst } => {

@@ -119,12 +119,10 @@ impl Gen<'_> {
         Ok(self.store.add(g.finish(name, l.nparams, l.variadic)))
     }
 
-    /// Fuses trailing test+branch pairs and packages the finished chunk.
+    /// Packages the finished chunk.
     fn finish(self, name: String, nparams: u16, variadic: bool) -> Chunk {
-        let mut instrs = self.instrs;
-        fuse_test_branches(&mut instrs);
         Chunk {
-            instrs,
+            instrs: self.instrs,
             consts: self.consts,
             nparams,
             variadic,
@@ -278,35 +276,7 @@ impl Gen<'_> {
                 self.gen(last, wm)
             }
             RExpr::Lambda(l) => self.gen_closure(l, wm),
-            RExpr::Call(op, args) => {
-                let d = wm;
-                let nargs = args.len() as u16;
-                let check = self.check_for(op);
-                if let Some(g) = self.ic_operator(op) {
-                    // Operator staging is folded into the call itself;
-                    // the slot is still part of the frame.
-                    self.reserve(d + 1)?;
-                    for (j, a) in args.iter().enumerate() {
-                        self.gen_staged(a, d + 2 + j as u16)?;
-                    }
-                    let ic = self.new_ic();
-                    self.instrs.push(Instr::FrameSize(u32::from(d + 2 + nargs)));
-                    self.instrs.push(Instr::CallGlobal { g, ic, d, nargs, check });
-                    self.instrs.push(Instr::FrameSize(u32::from(d)));
-                    return Ok(());
-                }
-                self.gen_staged(op, d + 1)?;
-                for (j, a) in args.iter().enumerate() {
-                    self.gen_staged(a, d + 2 + j as u16)?;
-                }
-                // Re-entry word for timer interrupts: a handler frame is
-                // pushed above the staged partial frame.
-                self.instrs.push(Instr::FrameSize(u32::from(d + 2 + nargs)));
-                self.instrs.push(Instr::Call { d, nargs, check });
-                // The word before the return point: the displacement.
-                self.instrs.push(Instr::FrameSize(u32::from(d)));
-                Ok(())
-            }
+            RExpr::Call(op, args) => self.gen_call(op, args, wm, false),
         }
     }
 
@@ -332,35 +302,53 @@ impl Gen<'_> {
                 }
                 self.gen_tail(last, wm)
             }
-            RExpr::Call(op, args) => {
-                let nargs = args.len() as u16;
-                // src ≥ 2 + nargs keeps the staged slots disjoint from the
-                // target slots 1..=1+nargs of the frame reuse shuffle.
-                let d = wm.max(1 + nargs);
-                if let Some(g) = self.ic_operator(op) {
-                    self.reserve(d + 1)?;
-                    for (j, a) in args.iter().enumerate() {
-                        self.gen_staged(a, d + 2 + j as u16)?;
-                    }
-                    let ic = self.new_ic();
-                    self.instrs.push(Instr::FrameSize(u32::from(d + 2 + nargs)));
-                    self.instrs.push(Instr::TailCallGlobal { g, ic, src: d + 1, nargs });
-                    return Ok(());
-                }
-                self.gen_staged(op, d + 1)?;
-                for (j, a) in args.iter().enumerate() {
-                    self.gen_staged(a, d + 2 + j as u16)?;
-                }
-                self.instrs.push(Instr::FrameSize(u32::from(d + 2 + nargs)));
-                self.instrs.push(Instr::TailCall { src: d + 1, nargs });
-                Ok(())
-            }
+            // src ≥ 2 + nargs keeps the staged slots disjoint from the
+            // target slots 1..=1+nargs of the frame reuse shuffle.
+            RExpr::Call(op, args) => self.gen_call(op, args, wm.max(1 + args.len() as u16), true),
             other => {
                 self.gen(other, wm)?;
                 self.instrs.push(Instr::Return);
                 Ok(())
             }
         }
+    }
+
+    /// Stages a call's partial frame at displacement `d` (operator at
+    /// `d+1`, arguments above it) and emits the call. A global operator is
+    /// staged by the VM itself, through the site's inline cache.
+    fn gen_call(
+        &mut self,
+        op: &RExpr,
+        args: &[RExpr],
+        d: u16,
+        tail: bool,
+    ) -> Result<(), SchemeError> {
+        let nargs = args.len() as u16;
+        let global = self.ic_operator(op);
+        match global {
+            // The operator slot is still part of the frame.
+            Some(_) => self.reserve(d + 1)?,
+            None => self.gen_staged(op, d + 1)?,
+        }
+        for (j, a) in args.iter().enumerate() {
+            self.gen_staged(a, d + 2 + j as u16)?;
+        }
+        // Re-entry word for timer interrupts: a handler frame is pushed
+        // above the staged partial frame.
+        self.instrs.push(Instr::FrameSize(u32::from(d + 2 + nargs)));
+        let (src, check) = (d + 1, self.check_for(op));
+        let call = match global.map(|g| (g, self.new_ic())) {
+            Some((g, ic)) if tail => Instr::TailCallGlobal { g, ic, src, nargs },
+            Some((g, ic)) => Instr::CallGlobal { g, ic, d, nargs, check },
+            None if tail => Instr::TailCall { src, nargs },
+            None => Instr::Call { d, nargs, check },
+        };
+        self.instrs.push(call);
+        if !tail {
+            // The word before the return point: the displacement.
+            self.instrs.push(Instr::FrameSize(u32::from(d)));
+        }
+        Ok(())
     }
 
     fn gen_closure(&mut self, l: &RLambda, wm: u16) -> Result<(), SchemeError> {
@@ -423,24 +411,6 @@ impl Gen<'_> {
         match &mut self.instrs[at] {
             Instr::Jump(t) | Instr::JumpIfFalse(t) => *t = target,
             other => panic!("patching a non-jump instruction {other:?}"),
-        }
-    }
-}
-
-/// Rewrites `[CallGlobal, FrameSize(d), JumpIfFalse(t)]` runs into the
-/// fused `CallGlobalBr` in place. No instruction is removed or moved, so
-/// jump targets stay valid: closure returns still land on the real
-/// `JumpIfFalse`, and only the inline-cached primitive hit takes the
-/// fused branch. Runs after jump patching, when branch targets are
-/// final.
-fn fuse_test_branches(instrs: &mut [Instr]) {
-    for i in 0..instrs.len() {
-        let Instr::CallGlobal { g, ic, d, nargs, check } = instrs[i] else { continue };
-        if matches!(instrs.get(i + 1), Some(Instr::FrameSize(_))) {
-            if let Some(Instr::JumpIfFalse(t)) = instrs.get(i + 2) {
-                let target = *t;
-                instrs[i] = Instr::CallGlobalBr { g, ic, d, nargs, check, target };
-            }
         }
     }
 }

@@ -95,6 +95,35 @@ pub fn run<S: ControlStack<Value> + ?Sized>(
     vm.run()
 }
 
+/// Where a call's operator and arguments are staged, which decides how
+/// [`Vm::apply`] gives the callee a frame and how it continues after a
+/// value. The helpers that match on it are `#[inline(always)]`, so each
+/// call instruction's arm knows its site statically: call-heavy programs
+/// ran about 5% slower when they were not inlined.
+#[derive(Clone, Copy)]
+enum Site {
+    /// Non-tail call at displacement `d`: operator at `frame[d+1]`,
+    /// arguments above it, return point two words past the call.
+    Call { d: u16, check: Check },
+    /// Tail call: operator at `frame[src]`, arguments above it; the
+    /// callee reuses the current frame.
+    Tail { src: u16 },
+    /// The callee's frame is already pushed, operator at slot 1: the
+    /// `call/cc` receiver and the timer handler.
+    Pushed,
+}
+
+impl Site {
+    /// The slot holding the operator; the arguments follow it.
+    fn op_slot(self) -> usize {
+        match self {
+            Site::Call { d, .. } => d as usize + 1,
+            Site::Tail { src } => src as usize,
+            Site::Pushed => 1,
+        }
+    }
+}
+
 struct Vm<'a, S: ControlStack<Value> + ?Sized> {
     stack: &'a mut S,
     store: &'a CodeStore,
@@ -118,16 +147,6 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
             self.chunk_id = addr.chunk();
         }
         self.pc = addr.offset() as usize;
-    }
-
-    fn enter_chunk(&mut self, id: u32) {
-        if id != self.chunk_id {
-            self.chunk = self.store.chunk(id);
-            self.chunk_id = id;
-        } else {
-            // Self-call: the chunk is already loaded.
-        }
-        self.pc = 0;
     }
 
     /// Pops the current frame; `Some(value)` means the computation is done.
@@ -291,8 +310,8 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
                     if self.timer_fires()? {
                         continue;
                     }
-                    let op = self.stack.get(d as usize + 1);
-                    if let Some(v) = self.call_with_op(op, d, nargs, check)? {
+                    let site = Site::Call { d, check };
+                    if let Some(v) = self.apply(self.stack.get(site.op_slot()), site, nargs)? {
                         return Ok(v);
                     }
                 }
@@ -300,8 +319,8 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
                     if self.timer_fires()? {
                         continue;
                     }
-                    let op = self.stack.get(src as usize);
-                    if let Some(v) = self.tail_with_op(op, src, nargs)? {
+                    let site = Site::Tail { src };
+                    if let Some(v) = self.apply(self.stack.get(site.op_slot()), site, nargs)? {
                         return Ok(v);
                     }
                 }
@@ -326,15 +345,7 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
                     if self.timer_fires()? {
                         continue;
                     }
-                    if let Some(v) = self.call_global(g, ic, d, nargs, check, None)? {
-                        return Ok(v);
-                    }
-                }
-                Instr::CallGlobalBr { g, ic, d, nargs, check, target } => {
-                    if self.timer_fires()? {
-                        continue;
-                    }
-                    if let Some(v) = self.call_global(g, ic, d, nargs, check, Some(target))? {
+                    if let Some(v) = self.call_global(g, ic, Site::Call { d, check }, nargs)? {
                         return Ok(v);
                     }
                 }
@@ -342,7 +353,7 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
                     if self.timer_fires()? {
                         continue;
                     }
-                    if let Some(v) = self.tail_call_global(g, ic, src, nargs)? {
+                    if let Some(v) = self.call_global(g, ic, Site::Tail { src }, nargs)? {
                         return Ok(v);
                     }
                 }
@@ -350,64 +361,60 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
         }
     }
 
-    /// Dispatches an inline-cached non-tail call to global `g`. On a
-    /// primitive hit the operator is never staged and the primitive runs
-    /// without the generic `Value` dispatch; on a closure hit (matching
-    /// arity) the arity adjustment is skipped. Anything else falls back
-    /// to the generic path with the operator staged, exactly like
-    /// `Instr::Call` — including in the fused-branch layout, where the
-    /// return point is the real `JumpIfFalse`.
+    /// Continues after the call at `site` produced `v` without entering a
+    /// frame: past the return point's frame-size word, or out of the
+    /// current frame.
+    #[inline(always)]
+    fn deliver(&mut self, site: Site, v: Value) -> Result<Option<Value>, SchemeError> {
+        self.acc = v;
+        match site {
+            Site::Call { .. } => {
+                self.pc += 2;
+                Ok(None)
+            }
+            Site::Tail { .. } | Site::Pushed => self.do_return(),
+        }
+    }
+
+    /// Gives the callee at `site` its frame, whose first `size` slots
+    /// (operator and arguments) are staged: a non-tail site pushes it, a
+    /// tail site reuses the current one, a pushed frame is already there.
+    #[inline(always)]
+    fn push(&mut self, site: Site, size: u16) -> Result<(), SchemeError> {
+        match site {
+            Site::Call { d, check } => {
+                let ret = CodeAddr::new(self.chunk_id, self.pc as u32 + 2);
+                self.stack.call(d as usize, ret, size as usize, check.performs_check())?;
+            }
+            Site::Tail { src } => self.stack.tail_call(src as usize, size as usize),
+            Site::Pushed => {}
+        }
+        Ok(())
+    }
+
+    /// Pushes the callee's frame (see [`Vm::push`]) and enters chunk `id`.
+    #[inline(always)]
+    fn enter(&mut self, site: Site, size: u16, id: u32) -> Result<Option<Value>, SchemeError> {
+        self.push(site, size)?;
+        if id != self.chunk_id {
+            self.chunk = self.store.chunk(id);
+            self.chunk_id = id;
+        }
+        self.pc = 0;
+        Ok(None)
+    }
+
+    /// Dispatches an inline-cached call to global `g`. On a primitive hit
+    /// the operator is never staged and the primitive runs without the
+    /// generic `Value` dispatch; on a closure hit (matching arity) the
+    /// arity adjustment is skipped. Anything else stages the operator and
+    /// goes through [`Vm::apply`], exactly like `Instr::Call`.
+    #[inline(always)]
     fn call_global(
         &mut self,
         g: u32,
         ic: u32,
-        d: u16,
-        nargs: u16,
-        check: Check,
-        br: Option<u32>,
-    ) -> Result<Option<Value>, SchemeError> {
-        self.stack.metrics_mut().superinstructions_dispatched += 1;
-        let ver = self.globals.version(g);
-        let slot = &self.chunk.ics[ic as usize];
-        if slot.version.get() == ver {
-            match slot.target.get() {
-                IcTarget::Prim { p, fast } => {
-                    self.stack.metrics_mut().ic_hits += 1;
-                    self.acc = self.run_prim_fast(Primitive(p), fast, d as usize + 2, nargs)?;
-                    match br {
-                        None => self.pc += 2,
-                        // Fused test+branch: skip the FrameSize word and
-                        // the JumpIfFalse, branching directly.
-                        Some(_) if self.acc.is_truthy() => self.pc += 3,
-                        Some(t) => self.pc = t as usize,
-                    }
-                    return Ok(None);
-                }
-                IcTarget::Closure { chunk, nparams, variadic } if !variadic && nparams == nargs => {
-                    self.stack.metrics_mut().ic_hits += 1;
-                    let opv = self.globals.get(g)?;
-                    self.stack.set(d as usize + 1, opv);
-                    let ret = CodeAddr::new(self.chunk_id, self.pc as u32 + 2);
-                    self.stack.call(d as usize, ret, 1 + nargs as usize, check.performs_check())?;
-                    self.enter_chunk(chunk);
-                    return Ok(None);
-                }
-                _ => {}
-            }
-        }
-        self.stack.metrics_mut().ic_misses += 1;
-        let op = self.globals.get(g)?;
-        self.fill_ic(ic, ver, &op, nargs);
-        self.stack.set(d as usize + 1, op.clone());
-        self.call_with_op(op, d, nargs, check)
-    }
-
-    /// Dispatches an inline-cached tail call to global `g`.
-    fn tail_call_global(
-        &mut self,
-        g: u32,
-        ic: u32,
-        src: u16,
+        site: Site,
         nargs: u16,
     ) -> Result<Option<Value>, SchemeError> {
         self.stack.metrics_mut().superinstructions_dispatched += 1;
@@ -417,16 +424,14 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
             match slot.target.get() {
                 IcTarget::Prim { p, fast } => {
                     self.stack.metrics_mut().ic_hits += 1;
-                    self.acc = self.run_prim_fast(Primitive(p), fast, src as usize + 1, nargs)?;
-                    return self.do_return();
+                    let v = self.run_primitive(Primitive(p), fast, site.op_slot() + 1, nargs)?;
+                    return self.deliver(site, v);
                 }
                 IcTarget::Closure { chunk, nparams, variadic } if !variadic && nparams == nargs => {
                     self.stack.metrics_mut().ic_hits += 1;
                     let opv = self.globals.get(g)?;
-                    self.stack.set(src as usize, opv);
-                    self.stack.tail_call(src as usize, 1 + nargs as usize);
-                    self.enter_chunk(chunk);
-                    return Ok(None);
+                    self.stack.set(site.op_slot(), opv);
+                    return self.enter(site, 1 + nargs, chunk);
                 }
                 _ => {}
             }
@@ -434,8 +439,8 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
         self.stack.metrics_mut().ic_misses += 1;
         let op = self.globals.get(g)?;
         self.fill_ic(ic, ver, &op, nargs);
-        self.stack.set(src as usize, op.clone());
-        self.tail_with_op(op, src, nargs)
+        self.stack.set(site.op_slot(), op.clone());
+        self.apply(op, site, nargs)
     }
 
     /// Fills an inline-cache slot from the operator just looked up.
@@ -459,11 +464,12 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
         slot.target.set(target);
     }
 
-    /// Runs a cached normal primitive: arity was validated at cache-fill
-    /// time, and two-fixnum arithmetic/comparison runs without touching
-    /// the general function. Overflow and non-fixnum operands fall back,
-    /// so observable semantics match `run_primitive` exactly.
-    fn run_prim_fast(
+    /// Runs normal primitive `p`, whose arity is already checked, on the
+    /// `nargs` arguments staged at `argbase`. With a `fast` op (cached at
+    /// an IC site), two-fixnum arithmetic/comparison runs without touching
+    /// the general function; overflow and non-fixnum operands fall back to
+    /// it, so observable semantics are the same either way.
+    fn run_primitive(
         &mut self,
         p: Primitive,
         fast: FastOp,
@@ -473,10 +479,9 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
         // Primitives are leaf routines: no frame, no overflow check (§5).
         self.stack.metrics_mut().checks_elided += 1;
         if fast != FastOp::None {
-            let a = self.stack.get(argbase);
-            let b = self.stack.get(argbase + 1);
-            if let (Value::Fixnum(x), Value::Fixnum(y)) = (&a, &b) {
-                let (x, y) = (*x, *y);
+            if let (Value::Fixnum(x), Value::Fixnum(y)) =
+                (self.stack.get(argbase), self.stack.get(argbase + 1))
+            {
                 let r = match fast {
                     FastOp::Add2 => x.checked_add(y).map(Value::Fixnum),
                     FastOp::Sub2 => x.checked_sub(y).map(Value::Fixnum),
@@ -492,13 +497,9 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
                     return Ok(v);
                 }
             }
-            // Mixed types or fixnum overflow: the general function
-            // decides (flonum arithmetic or the overflow error).
-            let PrimKind::Normal(f) = &def_of(p).kind else { unreachable!() };
-            return f(&mut PrimCtx { out: self.out }, &[a, b]);
         }
         let PrimKind::Normal(f) = &def_of(p).kind else {
-            unreachable!("only normal primitives are cached")
+            unreachable!("special primitives are dispatched by apply")
         };
         if nargs as usize <= PRIM_ARG_BUF {
             let mut buf: [Value; PRIM_ARG_BUF] = std::array::from_fn(|_| Value::Unspecified);
@@ -533,10 +534,9 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
             unreachable!("call instructions are preceded by a frame-size word")
         };
         let ra = CodeAddr::new(self.chunk_id, self.pc as u32);
-        let dh = dh as u16;
         self.stack.set(dh as usize + 1, handler.clone());
         self.stack.call(dh as usize, ra, 1, true)?;
-        match self.enter_pushed(handler, 0)? {
+        match self.apply(handler, Site::Pushed, 0)? {
             None => Ok(true),
             Some(_) => {
                 Err(SchemeError::runtime("timer handler exited through a dead continuation"))
@@ -619,40 +619,10 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
         Ok(())
     }
 
-    /// Runs a normal primitive on arguments staged at `argbase..`.
-    fn run_primitive(
-        &mut self,
-        p: Primitive,
-        argbase: usize,
-        nargs: u16,
-    ) -> Result<Value, SchemeError> {
-        self.check_prim_arity(p, nargs)?;
-        let PrimKind::Normal(f) = &def_of(p).kind else {
-            unreachable!("special primitives are dispatched before run_primitive")
-        };
-        // Primitives are leaf routines: no frame, no overflow check (§5).
-        self.stack.metrics_mut().checks_elided += 1;
-        if nargs as usize <= PRIM_ARG_BUF {
-            let mut buf: [Value; PRIM_ARG_BUF] = std::array::from_fn(|_| Value::Unspecified);
-            for (j, slot) in buf.iter_mut().enumerate().take(nargs as usize) {
-                *slot = self.stack.get(argbase + j);
-            }
-            f(&mut PrimCtx { out: self.out }, &buf[..nargs as usize])
-        } else {
-            let args: Vec<Value> =
-                (0..nargs as usize).map(|j| self.stack.get(argbase + j)).collect();
-            f(&mut PrimCtx { out: self.out }, &args)
-        }
-    }
-
-    /// Collects `apply`'s spread arguments: explicit middles plus the final
-    /// list, staged starting at `dst`.
-    fn spread_apply(
-        &mut self,
-        argbase: usize,
-        nargs: u16,
-        dst: usize,
-    ) -> Result<(Value, u16), SchemeError> {
+    /// Stages `apply`'s spread arguments — the explicit middles, then the
+    /// final list's elements — over its own arguments at `argbase..`,
+    /// returning the procedure and its argument count.
+    fn spread_apply(&mut self, argbase: usize, nargs: u16) -> Result<(Value, u16), SchemeError> {
         let f = self.stack.get(argbase);
         let mut spread: Vec<Value> =
             (1..nargs as usize - 1).map(|j| self.stack.get(argbase + j)).collect();
@@ -669,106 +639,97 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
         }
         let n = spread.len() as u16;
         for (j, v) in spread.into_iter().enumerate() {
-            self.stack.set(dst + j, v);
+            self.stack.set(argbase + j, v);
         }
         Ok((f, n))
     }
 
-    /// Dispatches a non-tail call whose operator is `op` and whose partial
-    /// frame is staged at displacement `d`.
-    fn call_with_op(
-        &mut self,
-        op: Value,
-        d: u16,
-        nargs: u16,
-        check: Check,
-    ) -> Result<Option<Value>, SchemeError> {
-        let ret = CodeAddr::new(self.chunk_id, self.pc as u32 + 2);
+    /// Applies `op` to the `nargs` arguments staged above its slot at
+    /// `site`: the machine's one calling protocol. Only [`Vm::deliver`] and
+    /// [`Vm::push`] act on the site (`call/cc` reads it to capture in the
+    /// right frame). `Some(value)` means the computation halted (an exit
+    /// continuation was invoked).
+    fn apply(&mut self, op: Value, site: Site, nargs: u16) -> Result<Option<Value>, SchemeError> {
+        let argbase = site.op_slot() + 1;
         match op {
             Value::Closure(c) => {
-                let eff = self.adjust_arity(&c, d as usize + 2, nargs)?;
-                self.stack.call(d as usize, ret, 1 + eff as usize, check.performs_check())?;
-                self.enter_chunk(c.chunk);
-                Ok(None)
+                let eff = self.adjust_arity(&c, argbase, nargs)?;
+                self.enter(site, 1 + eff, c.chunk)
             }
-            Value::Primitive(p) => match def_of(p).kind {
-                PrimKind::Normal(_) => {
-                    self.acc = self.run_primitive(p, d as usize + 2, nargs)?;
-                    self.pc += 2;
-                    Ok(None)
+            Value::Primitive(p) => {
+                self.check_prim_arity(p, nargs)?;
+                match def_of(p).kind {
+                    PrimKind::Normal(_) => {
+                        let v = self.run_primitive(p, FastOp::None, argbase, nargs)?;
+                        self.deliver(site, v)
+                    }
+                    PrimKind::CallCC | PrimKind::CallCC1 => {
+                        // `(call/cc f)` is `(f k)`, where `k` returns
+                        // wherever this call returns, so `k` is captured in
+                        // the frame it returns from: a non-tail site pushes
+                        // it with `f` as its operator; tail and pushed sites
+                        // already run in it, and their frame reuse then
+                        // moves `[f, k]` down together.
+                        let f = self.stack.get(argbase);
+                        self.stack.set(argbase - 1, f.clone());
+                        let site = match site {
+                            Site::Call { .. } => {
+                                self.push(site, 1)?;
+                                Site::Pushed
+                            }
+                            other => other,
+                        };
+                        let k = match def_of(p).kind {
+                            PrimKind::CallCC1 => self.stack.capture_one_shot(),
+                            _ => self.stack.capture(),
+                        };
+                        self.stack.set(site.op_slot() + 1, Value::Kont(k));
+                        self.apply(f, site, 1)
+                    }
+                    PrimKind::Apply => {
+                        let (f, n) = self.spread_apply(argbase, nargs)?;
+                        self.stack.set(argbase - 1, f.clone());
+                        self.apply(f, site, n)
+                    }
+                    PrimKind::SetTimer => {
+                        let ticks = self.stack.get(argbase).as_fixnum()?;
+                        let left = std::mem::replace(&mut self.timer.fuel, ticks);
+                        self.deliver(site, Value::Fixnum(left.max(0)))
+                    }
+                    PrimKind::SetTimerHandler => {
+                        self.timer.handler = self.stack.get(argbase);
+                        self.deliver(site, Value::Unspecified)
+                    }
+                    PrimKind::StackFrames => {
+                        let limit = (nargs == 1).then(|| self.stack.get(argbase));
+                        let v = self.stack_frames(limit)?;
+                        self.deliver(site, v)
+                    }
+                    PrimKind::TraceStats => {
+                        let v = self.trace_stats();
+                        self.deliver(site, v)
+                    }
+                    PrimKind::Eval => {
+                        let datum = self.stack.get(argbase);
+                        let entry = compile_toplevel(
+                            &datum,
+                            self.expander,
+                            self.store,
+                            self.globals,
+                            self.copts,
+                        )?;
+                        // Run the fresh chunk like a 0-parameter procedure:
+                        // slot 1 holds the eval primitive, and toplevel
+                        // chunks never read their slot 1.
+                        self.enter(site, 1, entry)
+                    }
                 }
-                PrimKind::CallCC | PrimKind::CallCC1 => {
-                    self.check_prim_arity(p, nargs)?;
-                    let f = self.stack.get(d as usize + 2);
-                    self.stack.set(d as usize + 1, f.clone());
-                    self.stack.call(d as usize, ret, 1, check.performs_check())?;
-                    let k = match def_of(p).kind {
-                        PrimKind::CallCC1 => self.stack.capture_one_shot(),
-                        _ => self.stack.capture(),
-                    };
-                    self.stack.set(2, Value::Kont(k));
-                    self.enter_pushed(f, 1)
-                }
-                PrimKind::Apply => {
-                    self.check_prim_arity(p, nargs)?;
-                    let (f, n) = self.spread_apply(d as usize + 2, nargs, d as usize + 2)?;
-                    self.stack.set(d as usize + 1, f.clone());
-                    self.call_with_op(f, d, n, check)
-                }
-                PrimKind::SetTimer => {
-                    self.check_prim_arity(p, nargs)?;
-                    let ticks = self.stack.get(d as usize + 2).as_fixnum()?;
-                    self.acc = Value::Fixnum(self.timer.fuel.max(0));
-                    self.timer.fuel = ticks;
-                    self.pc += 2;
-                    Ok(None)
-                }
-                PrimKind::SetTimerHandler => {
-                    self.check_prim_arity(p, nargs)?;
-                    self.timer.handler = self.stack.get(d as usize + 2);
-                    self.acc = Value::Unspecified;
-                    self.pc += 2;
-                    Ok(None)
-                }
-                PrimKind::StackFrames => {
-                    self.check_prim_arity(p, nargs)?;
-                    self.acc = self.stack_frames(if nargs == 1 {
-                        Some(self.stack.get(d as usize + 2))
-                    } else {
-                        None
-                    })?;
-                    self.pc += 2;
-                    Ok(None)
-                }
-                PrimKind::TraceStats => {
-                    self.check_prim_arity(p, nargs)?;
-                    self.acc = self.trace_stats();
-                    self.pc += 2;
-                    Ok(None)
-                }
-                PrimKind::Eval => {
-                    self.check_prim_arity(p, nargs)?;
-                    let datum = self.stack.get(d as usize + 2);
-                    let entry = compile_toplevel(
-                        &datum,
-                        self.expander,
-                        self.store,
-                        self.globals,
-                        self.copts,
-                    )?;
-                    // Run the fresh chunk like a 0-parameter procedure: the
-                    // frame is already staged (slot d+1 held the eval
-                    // primitive; toplevel chunks never read their slot 1).
-                    self.stack.call(d as usize, ret, 1, check.performs_check())?;
-                    self.enter_chunk(entry);
-                    Ok(None)
-                }
-            },
+            }
             Value::Kont(k) => {
                 if nargs != 1 {
                     return Err(self.arity_error("continuation", "1".into(), nargs));
                 }
-                let v = self.stack.get(d as usize + 2);
+                let v = self.stack.get(argbase);
                 match self.stack.reinstate(&k)? {
                     ReturnAddress::Code(r) => {
                         self.acc = v;
@@ -778,152 +739,6 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
                     ReturnAddress::Exit => Ok(Some(v)),
                     ReturnAddress::Underflow => unreachable!(),
                 }
-            }
-            other => Err(SchemeError::runtime(format!("attempt to apply non-procedure {other}"))),
-        }
-    }
-
-    /// Continues into procedure `f` whose frame has already been pushed
-    /// (slot 1 = `f`, arguments at 2..). Used by `call/cc` and the timer.
-    /// `Some(value)` means the computation halted (an exit continuation).
-    fn enter_pushed(&mut self, f: Value, nargs: u16) -> Result<Option<Value>, SchemeError> {
-        match f {
-            Value::Closure(c) => {
-                self.adjust_arity(&c, 2, nargs)?;
-                self.enter_chunk(c.chunk);
-                Ok(None)
-            }
-            Value::Primitive(p) => match def_of(p).kind {
-                PrimKind::Normal(_) => {
-                    self.acc = self.run_primitive(p, 2, nargs)?;
-                    self.do_return()
-                }
-                _ => Err(SchemeError::runtime("call/cc of a special primitive is not supported")),
-            },
-            Value::Kont(k) => {
-                let v = self.stack.get(2);
-                match self.stack.reinstate(&k)? {
-                    ReturnAddress::Code(r) => {
-                        self.acc = v;
-                        self.jump(r);
-                        Ok(None)
-                    }
-                    ReturnAddress::Exit => Ok(Some(v)),
-                    ReturnAddress::Underflow => unreachable!(),
-                }
-            }
-            other => Err(SchemeError::runtime(format!("attempt to apply non-procedure {other}"))),
-        }
-    }
-
-    /// Dispatches a tail call whose operator is staged at `src`.
-    fn tail_with_op(
-        &mut self,
-        op: Value,
-        src: u16,
-        nargs: u16,
-    ) -> Result<Option<Value>, SchemeError> {
-        match op {
-            Value::Closure(c) => {
-                let eff = self.adjust_arity(&c, src as usize + 1, nargs)?;
-                self.stack.tail_call(src as usize, 1 + eff as usize);
-                self.enter_chunk(c.chunk);
-                Ok(None)
-            }
-            Value::Primitive(p) => match def_of(p).kind {
-                PrimKind::Normal(_) => {
-                    self.acc = self.run_primitive(p, src as usize + 1, nargs)?;
-                    self.do_return()
-                }
-                PrimKind::CallCC | PrimKind::CallCC1 => {
-                    self.check_prim_arity(p, nargs)?;
-                    // Capture first: the continuation of a tail call/cc is
-                    // the current frame's own continuation. On an empty
-                    // segment this reuses the link (the looper rule).
-                    let k = match def_of(p).kind {
-                        PrimKind::CallCC1 => self.stack.capture_one_shot(),
-                        _ => self.stack.capture(),
-                    };
-                    let f = self.stack.get(src as usize + 1);
-                    self.stack.set(src as usize + 1, f.clone());
-                    self.stack.set(src as usize + 2, Value::Kont(k));
-                    // Re-dispatch as (f k) in tail position with the
-                    // operator staged one slot higher.
-                    self.retail(f, src + 1, 1)
-                }
-                PrimKind::Apply => {
-                    self.check_prim_arity(p, nargs)?;
-                    let (f, n) = self.spread_apply(src as usize + 1, nargs, src as usize + 1)?;
-                    self.stack.set(src as usize, f.clone());
-                    self.tail_with_op(f, src, n)
-                }
-                PrimKind::SetTimer => {
-                    self.check_prim_arity(p, nargs)?;
-                    let ticks = self.stack.get(src as usize + 1).as_fixnum()?;
-                    self.acc = Value::Fixnum(self.timer.fuel.max(0));
-                    self.timer.fuel = ticks;
-                    self.do_return()
-                }
-                PrimKind::SetTimerHandler => {
-                    self.check_prim_arity(p, nargs)?;
-                    self.timer.handler = self.stack.get(src as usize + 1);
-                    self.acc = Value::Unspecified;
-                    self.do_return()
-                }
-                PrimKind::StackFrames => {
-                    self.check_prim_arity(p, nargs)?;
-                    self.acc = self.stack_frames(if nargs == 1 {
-                        Some(self.stack.get(src as usize + 1))
-                    } else {
-                        None
-                    })?;
-                    self.do_return()
-                }
-                PrimKind::TraceStats => {
-                    self.check_prim_arity(p, nargs)?;
-                    self.acc = self.trace_stats();
-                    self.do_return()
-                }
-                PrimKind::Eval => {
-                    self.check_prim_arity(p, nargs)?;
-                    let datum = self.stack.get(src as usize + 1);
-                    let entry = compile_toplevel(
-                        &datum,
-                        self.expander,
-                        self.store,
-                        self.globals,
-                        self.copts,
-                    )?;
-                    self.stack.tail_call(src as usize, 1);
-                    self.enter_chunk(entry);
-                    Ok(None)
-                }
-            },
-            Value::Kont(k) => {
-                if nargs != 1 {
-                    return Err(self.arity_error("continuation", "1".into(), nargs));
-                }
-                let v = self.stack.get(src as usize + 1);
-                match self.stack.reinstate(&k)? {
-                    ReturnAddress::Code(r) => {
-                        self.acc = v;
-                        self.jump(r);
-                        Ok(None)
-                    }
-                    ReturnAddress::Exit => Ok(Some(v)),
-                    ReturnAddress::Underflow => unreachable!(),
-                }
-            }
-            other => Err(SchemeError::runtime(format!("attempt to apply non-procedure {other}"))),
-        }
-    }
-
-    /// Tail re-dispatch after `call/cc` restaging: the operator now sits at
-    /// `src` with `nargs` arguments above it.
-    fn retail(&mut self, f: Value, src: u16, nargs: u16) -> Result<Option<Value>, SchemeError> {
-        match f {
-            Value::Closure(_) | Value::Kont(_) | Value::Primitive(_) => {
-                self.tail_with_op(f, src, nargs)
             }
             other => Err(SchemeError::runtime(format!("attempt to apply non-procedure {other}"))),
         }

@@ -218,6 +218,41 @@ fn continuation_identity_semantics() {
 }
 
 #[test]
+fn call_cc_receivers_behave_alike_at_every_call_site() {
+    // A value, or the first error line up to any continuation printout
+    // (two captures of the same point print differently).
+    fn outcome(s: Strategy, src: &str) -> String {
+        match engine(s).eval_to_string(src) {
+            Ok(v) => v,
+            Err(e) => {
+                let msg = e.to_string();
+                let line = msg.lines().next().unwrap_or_default();
+                format!("error: {}", line.split("#<continuation").next().unwrap_or_default())
+            }
+        }
+    }
+    // The VM-dispatched primitives, each as the receiver of a `call/cc`.
+    let receivers = [
+        "%call/cc",
+        "%call/1cc",
+        "apply",
+        "eval",
+        "set-timer",
+        "set-timer-handler!",
+        "stack-frames",
+        "trace-stats",
+    ];
+    for p in receivers {
+        let tail = format!("(procedure? ((lambda () (%call/cc {p}))))");
+        let non_tail = format!("(procedure? ((lambda () (car (list (%call/cc {p}))))))");
+        for s in Strategy::ALL {
+            assert_eq!(outcome(s, &tail), outcome(s, &non_tail), "strategy {s}, receiver {p}");
+        }
+    }
+    check_all("(list ((%call/cc %call/cc) (lambda (x) 7)))", "(7)");
+}
+
+#[test]
 fn check_policies_do_not_change_semantics() {
     for policy in [CheckPolicy::Always, CheckPolicy::Elide] {
         let mut e = Engine::builder().check_policy(policy).max_steps(200_000_000).build().unwrap();
