@@ -1,4 +1,4 @@
-//! Memory-retention gate for the segmented stack.
+//! Memory-retention gates.
 //!
 //! A stack buffer may keep a heap value only where a live frame or a live
 //! stack record can read it. Before that rule, a sealed record kept its
@@ -6,12 +6,16 @@
 //! pointing back at the record, a cycle reference counting never frees:
 //! hundreds of KB per run of ctak or a ping-pong.
 //!
-//! Live heap bytes are counted by this binary's global allocator. The file
-//! holds a single `#[test]` so that no other test thread allocates while it
-//! measures.
+//! A `letrec`-bound procedure that refers to itself through its own frame
+//! needs no cell, so it makes no closure→cell→closure cycle, and a call to
+//! it allocates nothing.
+//!
+//! Live heap bytes and allocations are counted by this binary's global
+//! allocator. The file holds a single `#[test]` so that no other test
+//! thread allocates while it measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use segstack_baselines::Strategy;
 use segstack_bench::workloads as w;
@@ -19,27 +23,32 @@ use segstack_control::{Control, Step};
 use segstack_scheme::Engine;
 
 static LIVE: AtomicI64 = AtomicI64::new(0);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator, tracking the bytes currently allocated.
+/// The system allocator, tracking the bytes currently allocated and
+/// counting allocations (reallocations included).
 struct Live;
 
 // SAFETY: every method forwards to `System` with the caller's own
-// arguments; the bookkeeping touches one atomic and never allocates.
+// arguments; the bookkeeping touches two atomics and never allocates.
 unsafe impl GlobalAlloc for Live {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: forwarded verbatim; the caller upholds `alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: forwarded verbatim; the caller upholds `realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -68,8 +77,22 @@ fn retained_per_run(warm: usize, runs: usize, mut run: impl FnMut()) -> i64 {
     (LIVE.load(Ordering::Relaxed) - before) / runs as i64
 }
 
+/// One gate's line of the report, and whether it holds.
+type Report = Vec<(String, bool)>;
+
 #[test]
-fn captures_retain_no_dead_segments() {
+fn warm_engines_retain_no_garbage() {
+    let mut report = Report::new();
+    captures_retain_no_dead_segments(&mut report);
+    letrec_procedures_make_no_cycles(&mut report);
+    for (line, _) in &report {
+        println!("{line}");
+    }
+    let over: Vec<&str> = report.iter().filter(|(_, ok)| !ok).map(|(r, _)| r.as_str()).collect();
+    assert!(over.is_empty(), "over the bound: {}", over.join("; "));
+}
+
+fn captures_retain_no_dead_segments(report: &mut Report) {
     const RUN_BOUND: i64 = 32 * 1024;
     const JOB_BOUND: i64 = 64 * 1024;
     let programs = [
@@ -78,14 +101,13 @@ fn captures_retain_no_dead_segments() {
         ("%call/cc ping-pong 600 deep", w::pingpong("%call/cc", 600, 20), "20"),
         ("capture at depth 200 x 50", w::capture_at_depth(200, 50), "200"),
     ];
-    let mut report = Vec::new();
     for (name, src, expect) in &programs {
         let mut engine = Engine::new().expect("default engine");
         let per_run = retained_per_run(3, 20, || {
             let got = engine.eval_to_string(src).expect("program runs");
             assert_eq!(&got, expect, "{name}");
         });
-        report.push((format!("{name}: {per_run} B/run"), per_run <= RUN_BOUND));
+        report.push((format!("{name}: {per_run} B/run (bound {RUN_BOUND})"), per_run <= RUN_BOUND));
     }
 
     // A preempted deep recursion: every expired quantum captures the
@@ -103,14 +125,63 @@ fn captures_retain_no_dead_segments() {
         assert_eq!(value.to_string(), "12502500");
         assert!(job.quanta() > 1, "the job was preempted");
     });
-    report.push((format!("deep-sum 5000 job: {per_job} B/job"), per_job <= JOB_BOUND));
-    for (line, _) in &report {
-        println!("{line}");
+    report.push((
+        format!("deep-sum 5000 job: {per_job} B/job (bound {JOB_BOUND})"),
+        per_job <= JOB_BOUND,
+    ));
+}
+
+/// Each program is compiled once and its chunk rerun, so the code store
+/// does not grow; what a run keeps is what its closures keep.
+fn letrec_procedures_make_no_cycles(report: &mut Report) {
+    const RUN_BOUND: i64 = 16;
+    const LOOP_ALLOCS: u64 = 16;
+    let gated = [
+        ("named-let entry", "(let loop ((i 0)) (if (< i 10) (loop (+ i 1)) i))", "10"),
+        (
+            "self-recursive internal define",
+            "((lambda () (define (down n) (if (= n 0) 0 (down (- n 1)))) (down 10)))",
+            "0",
+        ),
+        (
+            "letrec of two self-recursive procedures",
+            "(letrec ((f (lambda (n) (if (= n 0) 0 (f (- n 1)))))
+                      (g (lambda (n) (if (= n 0) 1 (g (- n 1))))))
+               (+ (f 5) (g 5)))",
+            "1",
+        ),
+    ];
+    let mut engine = Engine::new().expect("default engine");
+    let mut rerun = |src: &str, expect: &str| {
+        let chunk = engine.compile(src).expect("compiles").expect("one form");
+        retained_per_run(3, 200, || {
+            assert_eq!(engine.run(chunk).expect("runs").to_string(), expect, "{src}");
+        })
+    };
+    for (name, src, expect) in gated {
+        let per_run = rerun(src, expect);
+        report.push((format!("{name}: {per_run} B/run (bound {RUN_BOUND})"), per_run <= RUN_BOUND));
     }
-    let over: Vec<&str> = report.iter().filter(|(_, ok)| !ok).map(|(r, _)| r.as_str()).collect();
-    assert!(
-        over.is_empty(),
-        "over the bound ({RUN_BOUND} B/run, {JOB_BOUND} B/job): {}",
-        over.join("; ")
+    // Not gated: `od?` is read by the earlier init `ev?`, so it keeps its
+    // cell, and the closure that captures the cell is the cell's value.
+    let mutual = rerun(
+        "(letrec ((ev? (lambda (n) (if (= n 0) #t (od? (- n 1)))))
+                  (od? (lambda (n) (if (= n 0) #f (ev? (- n 1))))))
+           (ev? 10))",
+        "#t",
     );
+    report.push((format!("mutually recursive letrec: {mutual} B/run (not gated)"), true));
+
+    let src = "((lambda () (define (loop i) (if (= i 0) 'done (loop (- i 1)))) (loop 100000)))";
+    let chunk = engine.compile(src).expect("compiles").expect("one form");
+    engine.run(chunk).expect("warm-up run");
+    let before = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(engine.run(chunk).expect("runs").to_string(), "done");
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    report.push((
+        format!(
+            "100,000-iteration internal-define loop: {allocs} allocations (bound {LOOP_ALLOCS})"
+        ),
+        allocs <= LOOP_ALLOCS,
+    ));
 }

@@ -28,6 +28,14 @@ fn leaf(rng: &mut SplitMix64, bound: u8) -> String {
     }
 }
 
+/// Picks a variable to bind: an unbound one among the first two, or one
+/// already bound (shadowing it).
+fn binder(rng: &mut SplitMix64, bound: u8) -> usize {
+    let eligible: Vec<usize> =
+        (0..VARS.len()).filter(|&i| i < 2 || bound & (1 << i) != 0).collect();
+    *rng.choose(&eligible)
+}
+
 /// Generates a deterministic expression using only bound variables from
 /// `bound` (a bitmask over [`VARS`]). `k_depth` counts enclosing `call/cc`
 /// receivers whose continuation parameter may be invoked; nesting is
@@ -39,7 +47,7 @@ pub fn arb_expr(rng: &mut SplitMix64, depth: u32, bound: u8, k_depth: u8) -> Str
     }
     let sub = |rng: &mut SplitMix64| arb_expr(rng, depth - 1, bound, k_depth);
     loop {
-        match rng.gen_range(0, 10) {
+        match rng.gen_range(0, 12) {
             0 => return leaf(rng, bound),
             1 => {
                 let (a, b) = (sub(rng), sub(rng));
@@ -63,9 +71,7 @@ pub fn arb_expr(rng: &mut SplitMix64, depth: u32, bound: u8, k_depth: u8) -> Str
             }
             6 => {
                 // let-binding an unbound or shadowed variable.
-                let eligible: Vec<usize> =
-                    (0..VARS.len()).filter(|&i| i < 2 || bound & (1 << i) != 0).collect();
-                let i = *rng.choose(&eligible);
+                let i = binder(rng, bound);
                 let v = VARS[i];
                 let a = sub(rng);
                 let b = arb_expr(rng, depth - 1, bound | (1 << i), k_depth);
@@ -91,6 +97,28 @@ pub fn arb_expr(rng: &mut SplitMix64, depth: u32, bound: u8, k_depth: u8) -> Str
                 let b = arb_expr(rng, depth - 1, bound | 1, k_depth);
                 let a = sub(rng);
                 return format!("((lambda ({}) {b}) {a})", VARS[0]);
+            }
+            9 => {
+                // A self-recursive named let counting a small literal down
+                // to 0, accumulating in a pool variable. `lp` and `n` are
+                // outside the pool, so no subexpression can reach them.
+                let i = binder(rng, bound);
+                let (v, n) = (VARS[i], rng.gen_range(0, 4));
+                let a = sub(rng);
+                let b = arb_expr(rng, depth - 1, bound | (1 << i), k_depth);
+                return format!("(let lp ((n {n}) ({v} {a})) (if (< n 1) {v} (lp (- n 1) {b})))");
+            }
+            10 => {
+                // A body whose internal define recurses on itself (not in
+                // tail position) from a small literal argument.
+                let i = binder(rng, bound);
+                let (v, n) = (VARS[i], rng.gen_range(0, 4));
+                let b = arb_expr(rng, depth - 1, bound | (1 << i), k_depth);
+                let a = sub(rng);
+                return format!(
+                    "(let () (define (rec n {v}) (if (< n 1) {v} (+ 1 (rec (- n 1) {b})))) \
+                     (rec {n} {a}))"
+                );
             }
             _ => {
                 // call/cc: the continuation may be invoked (escape) or

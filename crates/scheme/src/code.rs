@@ -235,8 +235,10 @@ pub struct Chunk {
     pub nparams: u16,
     /// Whether extra arguments are collected into a rest list.
     pub variadic: bool,
-    /// Name for diagnostics.
-    pub name: String,
+    /// Name for diagnostics, interned once when the chunk is compiled:
+    /// every closure made from the chunk and every frame walked in it
+    /// copies the symbol.
+    pub name: Symbol,
     /// Maximum frame slots used (static frame size — experiment E14).
     pub frame_slots: u16,
     /// Inline-cache slots, one per `CallGlobal`-family site.
@@ -542,7 +544,10 @@ impl fmt::Display for Chunk {
         writeln!(
             f,
             ";; chunk {:?} params={} variadic={} frame={}",
-            self.name, self.nparams, self.variadic, self.frame_slots
+            self.name.as_str(),
+            self.nparams,
+            self.variadic,
+            self.frame_slots
         )?;
         for (i, instr) in self.instrs.iter().enumerate() {
             writeln!(f, "{i:4}  {instr:?}")?;
@@ -564,7 +569,7 @@ mod tests {
             consts: vec![],
             nparams: 0,
             variadic: false,
-            name: "t".into(),
+            name: Symbol::intern("t"),
             frame_slots: 1,
             ics: Vec::new(),
         });
@@ -587,7 +592,7 @@ mod tests {
             consts: vec![],
             nparams: 0,
             variadic: false,
-            name: "t".into(),
+            name: Symbol::intern("t"),
             frame_slots: 6,
             ics: Vec::new(),
         });
@@ -604,7 +609,7 @@ mod tests {
             consts: vec![],
             nparams: 0,
             variadic: false,
-            name: "t".into(),
+            name: Symbol::intern("t"),
             frame_slots: 1,
             ics: Vec::new(),
         });
@@ -636,7 +641,7 @@ mod tests {
             consts: vec![],
             nparams: 1,
             variadic: true,
-            name: "f".into(),
+            name: Symbol::intern("f"),
             frame_slots: 3,
             ics: Vec::new(),
         };

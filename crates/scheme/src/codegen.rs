@@ -20,6 +20,7 @@ use std::fmt;
 use crate::code::{Check, Chunk, CodeStore, IcSlot, Instr};
 use crate::error::SchemeError;
 use crate::expand::Expander;
+use crate::intern::Symbol;
 use crate::primitives::PrimKind;
 use crate::resolve::{resolve_toplevel, Capture, RExpr, RLambda, PARAM_BASE};
 use crate::value::Value;
@@ -73,7 +74,7 @@ pub fn compile_toplevel(
     let mut g =
         Gen { store, opts, globals, instrs: Vec::new(), consts: Vec::new(), max_stage: 1, ics: 0 };
     g.gen_tail(&rexpr, 1)?;
-    let name = format!("toplevel-{}", store.len());
+    let name = Symbol::intern(&format!("toplevel-{}", store.len()));
     Ok(store.add(g.finish(name, 0, false)))
 }
 
@@ -115,12 +116,12 @@ impl Gen<'_> {
             }
         }
         g.gen_tail(&l.body, wm)?;
-        let name = l.name.map(|s| s.as_str()).unwrap_or_else(|| "lambda".into());
+        let name = l.name.unwrap_or_else(|| Symbol::intern("lambda"));
         Ok(self.store.add(g.finish(name, l.nparams, l.variadic)))
     }
 
     /// Packages the finished chunk.
-    fn finish(self, name: String, nparams: u16, variadic: bool) -> Chunk {
+    fn finish(self, name: Symbol, nparams: u16, variadic: bool) -> Chunk {
         Chunk {
             instrs: self.instrs,
             consts: self.consts,
@@ -240,6 +241,12 @@ impl Gen<'_> {
             RExpr::FreeCellSet(i, v) => {
                 self.gen(v, wm)?;
                 self.instrs.push(Instr::FreeCellSet(*i));
+                self.instrs.push(Instr::Unspec);
+                Ok(())
+            }
+            RExpr::LocalInit(s, v) => {
+                self.gen(v, wm)?;
+                self.instrs.push(Instr::LocalSet(*s));
                 self.instrs.push(Instr::Unspec);
                 Ok(())
             }

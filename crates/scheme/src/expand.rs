@@ -359,28 +359,37 @@ impl Expander {
                 Ast::Begin(out)
             });
         }
-        // ((lambda (v…) (set! v e)… body…) #unspecified…)
         let mut inner = scope.clone();
         inner.extend(defines.iter().map(|(s, _)| *s));
-        let mut seq = Vec::new();
+        let mut binds = Vec::with_capacity(defines.len());
         for (name, value) in &defines {
-            let value_ast = self.expand_named(value, &inner, Some(*name))?;
-            seq.push(Ast::Set(*name, Box::new(value_ast)));
+            binds.push((*name, self.expand_named(value, &inner, Some(*name))?));
         }
-        let mut tail = Vec::with_capacity(exprs.len());
+        let mut body = Vec::with_capacity(exprs.len());
         for e in exprs {
-            tail.push(self.expand(e, &inner)?);
+            body.push(self.expand(e, &inner)?);
         }
-        seq.extend(tail);
+        Ok(self.letrec(binds, body))
+    }
+
+    /// `((lambda (v…) (set! v init)… body…) #unspecified…)`: the one
+    /// shape of `letrec`, internal defines, named `let` and `do`. The
+    /// resolver compiles a procedure bound this way without a cell when
+    /// nothing can read it before its init (`resolve.rs`).
+    fn letrec(&mut self, binds: Vec<(Symbol, Ast)>, body: Vec<Ast>) -> Ast {
+        let params = binds.iter().map(|(v, _)| *v).collect();
+        let args = binds.iter().map(|_| Ast::unspecified()).collect();
+        let mut seq: Vec<Ast> =
+            binds.into_iter().map(|(v, init)| Ast::Set(v, Box::new(init))).collect();
+        seq.extend(body);
         let lambda = Ast::Lambda(Rc::new(AstLambda {
             id: self.lambda_id(),
-            params: defines.iter().map(|(s, _)| *s).collect(),
+            params,
             variadic: false,
             body: Ast::Begin(seq),
             name: None,
         }));
-        let args = defines.iter().map(|_| Ast::unspecified()).collect();
-        Ok(Ast::Call(Box::new(lambda), args))
+        Ast::Call(Box::new(lambda), args)
     }
 
     /// Parses `(define name value)` / `(define (name . formals) body…)`
@@ -474,16 +483,8 @@ impl Expander {
             };
             let inits =
                 binds.iter().map(|(_, i)| self.expand(i, scope)).collect::<Result<Vec<_>, _>>()?;
-            // ((lambda (loop) (set! loop <lam>) (loop inits…)) #unspec)
             let call_loop = Ast::Call(Box::new(Ast::Var(loop_name)), inits);
-            let outer = Ast::Lambda(Rc::new(AstLambda {
-                id: self.lambda_id(),
-                params: vec![loop_name],
-                variadic: false,
-                body: Ast::Begin(vec![Ast::Set(loop_name, Box::new(lambda)), call_loop]),
-                name: None,
-            }));
-            return Ok(Ast::Call(Box::new(outer), vec![Ast::unspecified()]));
+            return Ok(self.letrec(vec![(loop_name, lambda)], vec![call_loop]));
         }
         let Some((binds_form, body)) = rest.split_first() else {
             return Err(self.err("let: missing bindings"));
@@ -537,22 +538,12 @@ impl Expander {
         let binds = self.bindings(binds_form)?;
         let mut inner = scope.clone();
         inner.extend(binds.iter().map(|(s, _)| *s));
-        let mut seq = Vec::new();
+        let mut inits = Vec::with_capacity(binds.len());
         for (name, init) in &binds {
-            let init_ast = self.expand_named(init, &inner, Some(*name))?;
-            seq.push(Ast::Set(*name, Box::new(init_ast)));
+            inits.push((*name, self.expand_named(init, &inner, Some(*name))?));
         }
         let body_ast = self.expand_body(body, &inner)?;
-        seq.push(body_ast);
-        let lambda = Ast::Lambda(Rc::new(AstLambda {
-            id: self.lambda_id(),
-            params: binds.iter().map(|(s, _)| *s).collect(),
-            variadic: false,
-            body: Ast::Begin(seq),
-            name: None,
-        }));
-        let args = binds.iter().map(|_| Ast::unspecified()).collect();
-        Ok(Ast::Call(Box::new(lambda), args))
+        Ok(self.letrec(inits, vec![body_ast]))
     }
 
     fn expand_cond(&mut self, clauses: Vec<Value>, scope: &Scope) -> Result<Ast, SchemeError> {
@@ -785,14 +776,7 @@ impl Expander {
             .map(|(_, init, _)| self.expand(init, scope))
             .collect::<Result<Vec<_>, _>>()?;
         let call_loop = Ast::Call(Box::new(Ast::Var(loop_name)), inits);
-        let outer = Ast::Lambda(Rc::new(AstLambda {
-            id: self.lambda_id(),
-            params: vec![loop_name],
-            variadic: false,
-            body: Ast::Begin(vec![Ast::Set(loop_name, Box::new(lambda)), call_loop]),
-            name: None,
-        }));
-        Ok(Ast::Call(Box::new(outer), vec![Ast::unspecified()]))
+        Ok(self.letrec(vec![(loop_name, lambda)], vec![call_loop]))
     }
 
     /// Quasiquote expansion (R3RS, with nesting) producing a plain datum to

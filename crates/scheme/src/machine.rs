@@ -343,7 +343,7 @@ impl Engine {
             .as_dyn()
             .backtrace(limit)
             .into_iter()
-            .map(|ra| self.store.chunk(ra.chunk()).name.clone())
+            .map(|ra| self.store.chunk(ra.chunk()).name.as_str())
             .collect()
     }
 
@@ -942,12 +942,18 @@ mod vm_edge_tests {
     }
 
     #[test]
-    fn deep_apply_spread_respects_frame_bound() {
+    fn apply_spreads_past_the_frame_bound() {
         let mut e = engine();
-        let err = e.eval("(apply + (iota 200))").unwrap_err().to_string();
-        assert!(err.contains("frame bound"), "{err}");
-        // A spread that fits works.
+        assert_eq!(e.eval_to_string("(apply + (iota 200))").unwrap(), "19900");
         assert_eq!(e.eval_to_string("(apply + (iota 20))").unwrap(), "190");
+        assert_eq!(
+            e.eval_to_string("(apply (lambda (a . r) (length r)) (iota 200))").unwrap(),
+            "199"
+        );
+        let err = e.eval("(apply (lambda (a) a) (iota 200))").unwrap_err().to_string();
+        assert!(err.contains("expected 1 arguments, got 200"), "{err}");
+        let err = e.eval("(%call/cc (lambda (k) (apply k (iota 200))))").unwrap_err().to_string();
+        assert!(err.contains("continuation: expected 1 arguments, got 200"), "{err}");
     }
 
     #[test]

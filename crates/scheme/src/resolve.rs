@@ -12,8 +12,26 @@
 //!   so sealed stack segments can be shared or copied freely.
 //! * **Closure conversion**: each lambda gets a flat capture list; a
 //!   captured boxed variable captures the *cell*, preserving sharing.
+//!
+//! A `letrec`-bound procedure is the one exception to boxing. The expander
+//! gives `letrec`, internal defines, named `let` and `do` one shape, a
+//! lambda whose body opens with `(set! v init)…` for its own parameters,
+//! and a `v` whose only assignment is that `set!` and whose `init` is a
+//! lambda is assigned just once, to that lambda's closure (Keep, Hearn &
+//! Dybvig, "Optimizing Closures in O(0) Time"):
+//!
+//! * inside the init lambda, and lambdas nested in it, `v` is the running
+//!   closure in frame slot 1, so the closure captures neither itself nor
+//!   a cell;
+//! * if no earlier init refers to `v`, nothing reads `v` before its init
+//!   runs, so `v` needs no cell at all, and its `set!` initialises the
+//!   plain slot ([`RExpr::LocalInit`]). Re-entering an earlier init's
+//!   continuation runs the init again before anything reads `v`.
+//!
+//! A `v` that an earlier init refers to (mutual recursion, forward
+//! references) keeps its cell for everyone but itself.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use crate::ast::{Ast, AstLambda, LambdaId};
@@ -39,6 +57,9 @@ pub enum RExpr {
     GlobalRef(u32),
     /// Write through the cell in a frame slot.
     LocalCellSet(u16, Box<RExpr>),
+    /// Initialise a plain frame slot: the `set!` that binds a cell-free
+    /// `letrec` procedure.
+    LocalInit(u16, Box<RExpr>),
     /// Write through a captured cell.
     FreeCellSet(u16, Box<RExpr>),
     /// `set!` a global.
@@ -97,23 +118,29 @@ pub const PARAM_BASE: u16 = 2;
 /// position).
 pub fn resolve_toplevel(ast: &Ast, globals: &mut Globals) -> Result<RExpr, SchemeError> {
     let assigned = collect_assigned(ast);
-    let mut r = Resolver { assigned, globals, frames: Vec::new() };
+    let mut r = Resolver {
+        assigned,
+        self_inits: HashMap::new(),
+        referenced: HashSet::new(),
+        globals,
+        frames: Vec::new(),
+    };
     r.resolve(ast, true)
 }
 
 /// A binding site: which lambda, which parameter.
 type BindId = (LambdaId, usize);
 
-/// Collects every binding targeted by a `set!` anywhere in its scope.
-fn collect_assigned(ast: &Ast) -> HashSet<BindId> {
-    fn walk(ast: &Ast, scope: &mut Vec<(LambdaId, Vec<Symbol>)>, out: &mut HashSet<BindId>) {
+/// Counts the `set!`s targeting each binding anywhere in its scope.
+fn collect_assigned(ast: &Ast) -> HashMap<BindId, u32> {
+    fn walk(ast: &Ast, scope: &mut Vec<(LambdaId, Vec<Symbol>)>, out: &mut HashMap<BindId, u32>) {
         match ast {
             Ast::Quote(_) | Ast::Var(_) => {}
             Ast::Set(name, value) => {
                 // Find the innermost binder of `name`.
                 for (id, params) in scope.iter().rev() {
                     if let Some(i) = params.iter().rposition(|p| p == name) {
-                        out.insert((*id, i));
+                        *out.entry((*id, i)).or_default() += 1;
                         break;
                     }
                 }
@@ -143,7 +170,7 @@ fn collect_assigned(ast: &Ast) -> HashSet<BindId> {
             Ast::Define(_, value) => walk(value, scope, out),
         }
     }
-    let mut out = HashSet::new();
+    let mut out = HashMap::new();
     walk(ast, &mut Vec::new(), &mut out);
     out
 }
@@ -152,20 +179,29 @@ fn collect_assigned(ast: &Ast) -> HashSet<BindId> {
 struct FrameScope {
     id: LambdaId,
     params: Vec<Symbol>,
+    /// The `letrec` binding whose init this lambda is: slot 1 holds its
+    /// value.
+    self_bind: Option<BindId>,
     /// Free variables accumulated so far (append-only; indices are final).
     free: Vec<Symbol>,
 }
 
 struct Resolver<'a> {
-    assigned: HashSet<BindId>,
+    /// `set!` counts per binding; a cell-free `letrec` binding is removed,
+    /// since its one `set!` initialises its slot.
+    assigned: HashMap<BindId, u32>,
+    /// Init lambdas of `letrec` procedure bindings, by lambda.
+    self_inits: HashMap<LambdaId, BindId>,
+    /// Bindings referred to so far, in program order.
+    referenced: HashSet<BindId>,
     globals: &'a mut Globals,
     frames: Vec<FrameScope>,
 }
 
 impl Resolver<'_> {
-    /// Is binding (frame `d`, param `i`) boxed?
-    fn boxed(&self, d: usize, i: usize) -> bool {
-        self.assigned.contains(&(self.frames[d].id, i))
+    /// Is binding `b` boxed?
+    fn boxed(&self, b: BindId) -> bool {
+        self.assigned.contains_key(&b)
     }
 
     /// Finds the binding frame of `sym` and threads it as a free variable
@@ -180,12 +216,20 @@ impl Resolver<'_> {
         // Innermost binding frame.
         let db = (0..n).rev().find(|&d| self.frames[d].params.contains(&sym))?;
         let pidx = self.frames[db].params.iter().rposition(|p| *p == sym).expect("just found");
-        let boxed = self.boxed(db, pidx);
-        if db == n - 1 {
-            return Some((Capture::Local(PARAM_BASE + pidx as u16), boxed));
+        let bind = (self.frames[db].id, pidx);
+        self.referenced.insert(bind);
+        // The frame whose slot holds the value: inside its own init
+        // lambda, a `letrec` procedure is that lambda's running closure.
+        let self_frame = (db + 1..n).find(|&d| self.frames[d].self_bind == Some(bind));
+        let (home, slot, boxed) = match self_frame {
+            Some(d) => (d, 1, false),
+            None => (db, PARAM_BASE + pidx as u16, self.boxed(bind)),
+        };
+        if home == n - 1 {
+            return Some((Capture::Local(slot), boxed));
         }
-        // Thread through frames db+1 ..= n-1.
-        for d in db + 1..n {
+        // Thread through frames home+1 ..= n-1.
+        for d in home + 1..n {
             if !self.frames[d].free.contains(&sym) {
                 self.frames[d].free.push(sym);
             }
@@ -209,7 +253,11 @@ impl Resolver<'_> {
                 Ok(match self.lookup(*sym) {
                     Some((Capture::Local(slot), true)) => RExpr::LocalCellSet(slot, value),
                     Some((Capture::Free(idx), true)) => RExpr::FreeCellSet(idx, value),
-                    Some((_, false)) => unreachable!("set! target not marked assigned"),
+                    // Only a cell-free binding's own init assigns it.
+                    Some((Capture::Local(slot), false)) => RExpr::LocalInit(slot, value),
+                    Some((Capture::Free(_), false)) => {
+                        unreachable!("set! target not marked assigned")
+                    }
                     None => RExpr::GlobalSet(self.globals.slot(*sym), value),
                 })
             }
@@ -241,13 +289,46 @@ impl Resolver<'_> {
         }
     }
 
+    /// Records the init lambda of each `letrec` procedure among `l`'s
+    /// parameters: a `v` of the `(set! v init)…` that open `l`'s body
+    /// whose only assignment is that `set!` and whose init is a lambda.
+    fn find_letrec_procedures(&mut self, l: &AstLambda) {
+        let seq = match &l.body {
+            Ast::Begin(es) => es.as_slice(),
+            one => std::slice::from_ref(one),
+        };
+        for e in seq {
+            let Ast::Set(v, init) = e else { break };
+            let Some(i) = l.params.iter().rposition(|p| p == v) else { break };
+            if let Ast::Lambda(f) = &**init {
+                if self.assigned.get(&(l.id, i)) == Some(&1) {
+                    self.self_inits.insert(f.id, (l.id, i));
+                }
+            }
+        }
+    }
+
     fn resolve_lambda(&mut self, l: &AstLambda) -> Result<RExpr, SchemeError> {
         let leaf = !l.body.contains_call();
-        self.frames.push(FrameScope { id: l.id, params: l.params.clone(), free: Vec::new() });
+        self.find_letrec_procedures(l);
+        let self_bind = self.self_inits.get(&l.id).copied();
+        if let Some(b) = self_bind {
+            // Resolution follows program order, so a reference seen by
+            // now is one from an earlier init. Without one, nothing reads
+            // the binding before this init runs, and it needs no cell.
+            if !self.referenced.contains(&b) {
+                self.assigned.remove(&b);
+            }
+        }
+        self.frames.push(FrameScope {
+            id: l.id,
+            params: l.params.clone(),
+            self_bind,
+            free: Vec::new(),
+        });
         let body = self.resolve(&l.body, false)?;
         let frame = self.frames.pop().expect("frame pushed above");
-        let boxed_params =
-            (0..l.params.len()).map(|i| self.assigned.contains(&(l.id, i))).collect();
+        let boxed_params = (0..l.params.len()).map(|i| self.boxed((l.id, i))).collect();
         // Resolve captures in the (now innermost) enclosing context; boxed
         // variables capture the cell itself, so raw reads either way.
         let mut captures = Vec::with_capacity(frame.free.len());
@@ -384,6 +465,72 @@ mod tests {
         let inner = lambda_of(&outer.body);
         assert!(inner.captures.is_empty(), "inner x shadows; no capture needed");
         assert!(matches!(inner.body, RExpr::LocalRef(2)));
+    }
+
+    /// The `letrec` lambda of a `((lambda (v…) …) #unspecified…)` call.
+    fn letrec_of(r: &RExpr) -> Rc<RLambda> {
+        let RExpr::Call(op, _) = r else { panic!("expected a call, got {r:?}") };
+        lambda_of(op)
+    }
+
+    /// The `i`th element of a lambda's body sequence.
+    fn body_at(l: &RLambda, i: usize) -> &RExpr {
+        let RExpr::Begin(es) = &l.body else { panic!("expected a sequence, got {:?}", l.body) };
+        &es[i]
+    }
+
+    #[test]
+    fn named_let_procedure_needs_no_cell() {
+        let (r, _) = resolve("(let loop ((i 3)) (if (= i 0) 0 (loop (- i 1))))");
+        let block = letrec_of(&r);
+        assert_eq!(block.boxed_params, vec![false], "no cell for loop");
+        let RExpr::LocalInit(2, init) = body_at(&block, 0) else { panic!("{:?}", block.body) };
+        let proc = lambda_of(init);
+        assert!(proc.captures.is_empty(), "loop captures neither itself nor a cell");
+        let RExpr::If(_, _, els) = &proc.body else { panic!("{:?}", proc.body) };
+        let RExpr::Call(op, _) = &**els else { panic!("{els:?}") };
+        assert!(matches!(**op, RExpr::LocalRef(1)), "the self-call's operator is slot 1");
+    }
+
+    #[test]
+    fn nested_lambdas_capture_the_running_closure() {
+        let (r, _) = resolve("(letrec ((f (lambda () (lambda () f)))) f)");
+        let block = letrec_of(&r);
+        let RExpr::LocalInit(2, init) = body_at(&block, 0) else { panic!("{:?}", block.body) };
+        let inner = lambda_of(&lambda_of(init).body);
+        assert_eq!(inner.captures, vec![Capture::Local(1)], "captured from f's slot 1");
+        assert!(matches!(inner.body, RExpr::FreeRef(0)));
+    }
+
+    #[test]
+    fn a_binding_an_earlier_init_refers_to_keeps_its_cell() {
+        let (r, _) = resolve(
+            "(letrec ((even? (lambda (n) (if (= n 0) #t (odd? (- n 1)))))
+                      (odd? (lambda (n) (if (= n 0) #f (even? (- n 1))))))
+               (even? 4))",
+        );
+        let block = letrec_of(&r);
+        assert_eq!(block.boxed_params, vec![false, true], "odd? is read before its init");
+        let RExpr::LocalCellSet(3, init) = body_at(&block, 1) else { panic!("{:?}", block.body) };
+        let odd = lambda_of(init);
+        assert_eq!(odd.captures, vec![Capture::Local(2)], "odd? captures even? but not itself");
+    }
+
+    #[test]
+    fn a_binding_assigned_again_keeps_its_cell() {
+        let (r, _) = resolve("(letrec ((f (lambda () f))) (set! f 1) f)");
+        let block = letrec_of(&r);
+        assert_eq!(block.boxed_params, vec![true]);
+        let RExpr::LocalCellSet(2, init) = body_at(&block, 0) else { panic!("{:?}", block.body) };
+        let f = lambda_of(init);
+        assert_eq!(f.captures, vec![Capture::Local(2)], "f reads its cell, not slot 1");
+        assert!(matches!(f.body, RExpr::FreeCellRef(0)));
+    }
+
+    #[test]
+    fn a_non_lambda_init_keeps_its_cell() {
+        let (r, _) = resolve("(letrec ((x 1)) x)");
+        assert_eq!(letrec_of(&r).boxed_params, vec![true]);
     }
 
     #[test]

@@ -22,7 +22,6 @@ use crate::code::{Check, Chunk, CodeStore, Globals, IcTarget, Instr};
 use crate::codegen::{compile_toplevel, CompileOptions};
 use crate::error::SchemeError;
 use crate::expand::Expander;
-use crate::intern::Symbol;
 use crate::primitives::{arity_ok, def_of, fast_op, FastOp, PrimCtx, PrimKind, PRIMITIVES};
 use crate::value::{Closure, Primitive, Value};
 
@@ -288,7 +287,7 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
                         nparams: target.nparams,
                         variadic: target.variadic,
                         free,
-                        name: Some(Symbol::intern(&target.name)),
+                        name: Some(target.name),
                     }));
                     self.pc += 1;
                 }
@@ -556,7 +555,7 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
             .stack
             .backtrace(limit)
             .into_iter()
-            .map(|ra| Value::Sym(Symbol::intern(&self.store.chunk(ra.chunk()).name)))
+            .map(|ra| Value::Sym(self.store.chunk(ra.chunk()).name))
             .collect::<Vec<_>>();
         Ok(Value::list(names))
     }
@@ -575,73 +574,103 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
         }))
     }
 
-    /// Arity message helper.
-    fn arity_error(&self, who: &str, want: String, got: u16) -> SchemeError {
-        SchemeError::runtime(format!("{who}: expected {want} arguments, got {got}"))
-    }
-
-    /// Adjusts a variadic call's staged arguments in place: collects the
-    /// extras into a rest list at `argbase + required`. Returns the
-    /// effective argument count.
+    /// Checks a closure call's argument count and, for a variadic
+    /// closure, collects the staged extras into a rest list at
+    /// `argbase + required`. Returns the effective argument count.
     fn adjust_arity(
         &mut self,
         c: &Closure,
         argbase: usize,
         nargs: u16,
     ) -> Result<u16, SchemeError> {
-        let name = c.name.map(|s| s.as_str()).unwrap_or_else(|| "procedure".into());
         if c.variadic {
             let required = c.nparams - 1;
             if nargs < required {
-                return Err(self.arity_error(&name, format!("at least {required}"), nargs));
+                return Err(closure_arity_error(c, nargs.into()));
             }
             let rest = Value::list((required..nargs).map(|j| self.stack.get(argbase + j as usize)));
             self.stack.set(argbase + required as usize, rest);
             Ok(c.nparams)
         } else if nargs != c.nparams {
-            Err(self.arity_error(&name, format!("{}", c.nparams), nargs))
+            Err(closure_arity_error(c, nargs.into()))
         } else {
             Ok(nargs)
         }
     }
 
-    fn check_prim_arity(&self, p: Primitive, nargs: u16) -> Result<(), SchemeError> {
+    fn check_prim_arity(&self, p: Primitive, n: usize) -> Result<(), SchemeError> {
         let def = def_of(p);
-        let n = nargs as usize;
         if n < def.min_args || def.max_args.is_some_and(|m| n > m) {
             let want = match def.max_args {
                 Some(m) if m == def.min_args => format!("{m}"),
                 Some(m) => format!("{} to {m}", def.min_args),
                 None => format!("at least {}", def.min_args),
             };
-            return Err(self.arity_error(def.name, want, nargs));
+            return Err(arity_error(def.name, &want, n));
         }
         Ok(())
     }
 
-    /// Stages `apply`'s spread arguments — the explicit middles, then the
-    /// final list's elements — over its own arguments at `argbase..`,
-    /// returning the procedure and its argument count.
-    fn spread_apply(&mut self, argbase: usize, nargs: u16) -> Result<(Value, u16), SchemeError> {
+    /// Runs `(apply f a… lst)`, staged at `site`: calls `f` on the
+    /// explicit middles, then the final list's elements. Only what the
+    /// callee's frame holds is staged: a normal primitive runs on the
+    /// spread arguments where they are, and a variadic closure gets its
+    /// required arguments and a fresh rest list, so neither meets the
+    /// frame bound.
+    fn apply_spread(&mut self, site: Site, nargs: u16) -> Result<Option<Value>, SchemeError> {
+        let argbase = site.op_slot() + 1;
         let f = self.stack.get(argbase);
-        let mut spread: Vec<Value> =
+        let mut args: Vec<Value> =
             (1..nargs as usize - 1).map(|j| self.stack.get(argbase + j)).collect();
         let last = self.stack.get(argbase + nargs as usize - 1);
-        spread.extend(last.list_to_vec().map_err(|_| {
+        args.extend(last.list_to_vec().map_err(|_| {
             SchemeError::runtime(format!("apply: last argument must be a proper list, got {last}"))
         })?);
-        if spread.len() + 2 > self.opts.frame_bound {
+        let mut enter = None;
+        match &f {
+            Value::Primitive(p) => {
+                self.check_prim_arity(*p, args.len())?;
+                if let PrimKind::Normal(call) = def_of(*p).kind {
+                    self.stack.metrics_mut().checks_elided += 1;
+                    let v = call(&mut PrimCtx { out: self.out }, &args)?;
+                    return self.deliver(site, v);
+                }
+            }
+            Value::Closure(c) if c.variadic => {
+                let required = c.nparams as usize - 1;
+                if args.len() < required {
+                    return Err(closure_arity_error(c, args.len()));
+                }
+                let rest = Value::list(args.drain(required..));
+                self.stack.set(argbase + required, rest);
+                enter = Some((c.chunk, c.nparams));
+            }
+            Value::Closure(c) if args.len() != usize::from(c.nparams) => {
+                return Err(closure_arity_error(c, args.len()));
+            }
+            Value::Kont(_) if args.len() != 1 => {
+                return Err(arity_error("continuation", "1", args.len()));
+            }
+            _ => {}
+        }
+        // Only `apply` applied to itself, or a non-procedure, gets here
+        // with more arguments than a frame holds.
+        if args.len() + 2 > self.opts.frame_bound {
             return Err(SchemeError::runtime(format!(
                 "apply: {} arguments exceed the frame bound of {}",
-                spread.len(),
+                args.len(),
                 self.opts.frame_bound
             )));
         }
-        let n = spread.len() as u16;
-        for (j, v) in spread.into_iter().enumerate() {
+        let n = args.len() as u16;
+        self.stack.set(argbase - 1, f.clone());
+        for (j, v) in args.into_iter().enumerate() {
             self.stack.set(argbase + j, v);
         }
-        Ok((f, n))
+        match enter {
+            Some((chunk, nparams)) => self.enter(site, 1 + nparams, chunk),
+            None => self.apply(f, site, n),
+        }
     }
 
     /// Applies `op` to the `nargs` arguments staged above its slot at
@@ -657,7 +686,7 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
                 self.enter(site, 1 + eff, c.chunk)
             }
             Value::Primitive(p) => {
-                self.check_prim_arity(p, nargs)?;
+                self.check_prim_arity(p, nargs.into())?;
                 match def_of(p).kind {
                     PrimKind::Normal(_) => {
                         let v = self.run_primitive(p, FastOp::None, argbase, nargs)?;
@@ -686,11 +715,7 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
                         self.stack.set(site.op_slot() + 1, Value::Kont(k));
                         self.apply(f, site, 1)
                     }
-                    PrimKind::Apply => {
-                        let (f, n) = self.spread_apply(argbase, nargs)?;
-                        self.stack.set(argbase - 1, f.clone());
-                        self.apply(f, site, n)
-                    }
+                    PrimKind::Apply => self.apply_spread(site, nargs),
                     PrimKind::SetTimer => {
                         let ticks = self.stack.get(argbase).as_fixnum()?;
                         let left = std::mem::replace(&mut self.timer.fuel, ticks);
@@ -727,7 +752,7 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
             }
             Value::Kont(k) => {
                 if nargs != 1 {
-                    return Err(self.arity_error("continuation", "1".into(), nargs));
+                    return Err(arity_error("continuation", "1", nargs.into()));
                 }
                 let v = self.stack.get(argbase);
                 match self.stack.reinstate(&k)? {
@@ -742,6 +767,22 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
             }
             other => Err(SchemeError::runtime(format!("attempt to apply non-procedure {other}"))),
         }
+    }
+}
+
+/// The arity error of `who`, which wants `want` arguments and got `got`.
+fn arity_error(who: impl std::fmt::Display, want: &str, got: usize) -> SchemeError {
+    SchemeError::runtime(format!("{who}: expected {want} arguments, got {got}"))
+}
+
+/// The arity error of closure `c` called with `got` arguments. Its name is
+/// formatted here, never on a call whose arity matches.
+fn closure_arity_error(c: &Closure, got: usize) -> SchemeError {
+    let want =
+        if c.variadic { format!("at least {}", c.nparams - 1) } else { c.nparams.to_string() };
+    match c.name {
+        Some(name) => arity_error(name, &want, got),
+        None => arity_error("procedure", &want, got),
     }
 }
 

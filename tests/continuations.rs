@@ -53,6 +53,23 @@ fn continuation_as_first_class_value() {
 }
 
 #[test]
+fn reentering_an_earlier_init_reruns_a_later_procedure_init() {
+    // `loop` needs no cell: no init before it refers to it. Re-entering
+    // `n`'s continuation runs `loop`'s init again, and `r` reads the
+    // latest `n` through its cell.
+    check_all(
+        "(define (t)
+           (define k #f)
+           (define n (call/cc (lambda (c) (set! k c) 0)))
+           (define (loop i acc) (if (= i 0) acc (loop (- i 1) (+ acc n))))
+           (define r (loop 3 0))
+           (if (< n 2) (k (+ n 1)) (list n r)))
+         (t)",
+        "(2 6)",
+    );
+}
+
+#[test]
 fn multi_shot_reentry_from_saved_continuation() {
     check_all(
         "(define k #f)

@@ -1,6 +1,7 @@
 //! Language-level integration tests: R3RS-style behavior of the Scheme
 //! system on the segmented stack.
 
+use segstack::baselines::Strategy;
 use segstack::scheme::Engine;
 
 fn eval(src: &str) -> String {
@@ -11,6 +12,32 @@ fn eval(src: &str) -> String {
 #[track_caller]
 fn check(src: &str, expected: &str) {
     assert_eq!(eval(src), expected, "program: {src}");
+}
+
+/// Evaluates `src` on every strategy.
+fn eval_everywhere(src: &str) -> Vec<(Strategy, Result<String, String>)> {
+    Strategy::ALL
+        .into_iter()
+        .map(|s| {
+            let mut e = Engine::builder().strategy(s).max_steps(100_000_000).build().unwrap();
+            (s, e.eval_to_string(src).map_err(|err| err.to_string()))
+        })
+        .collect()
+}
+
+#[track_caller]
+fn check_everywhere(src: &str, expected: &str) {
+    for (s, got) in eval_everywhere(src) {
+        assert_eq!(got.as_deref(), Ok(expected), "strategy {s}, program: {src}");
+    }
+}
+
+#[track_caller]
+fn fails_everywhere(src: &str, needle: &str) {
+    for (s, got) in eval_everywhere(src) {
+        let err = got.expect_err(src);
+        assert!(err.contains(needle), "strategy {s}, program: {src}: {err}");
+    }
 }
 
 #[test]
@@ -200,6 +227,27 @@ fn internal_defines() {
 }
 
 #[test]
+fn letrec_procedures_keep_their_semantics() {
+    // A procedure that refers to itself is the closure its binding holds.
+    check_everywhere("(letrec ((f (lambda () f))) (eq? f (f)))", "#t");
+    // A later `set!` of an internal define is seen by every reader.
+    check_everywhere("(define (t) (define (f) 1) (set! f (lambda () 2)) (f)) (t)", "2");
+    // An earlier define may refer to a later one.
+    check_everywhere("(define (t) (define (g) (f)) (define (f) 7) (g)) (t)", "7");
+    // Local procedures still name themselves in arity errors.
+    fails_everywhere("((lambda () (define (f x) x) (f)))", "f: expected 1 arguments, got 0");
+}
+
+#[test]
+fn apply_spreads_past_the_frame_bound() {
+    check_everywhere("(apply + (iota 100000))", "4999950000");
+    check_everywhere("(apply (lambda args (length args)) (iota 100000))", "100000");
+    // The rest list is fresh, never the list `apply` was given.
+    check_everywhere("(let ((l (list 1 2))) (eq? l (apply (lambda args args) l)))", "#f");
+    fails_everywhere("(apply (lambda (a b) a) (iota 100))", "expected 2 arguments, got 100");
+}
+
+#[test]
 fn io_effects_are_ordered() {
     let mut e = Engine::new().unwrap();
     e.eval("(for-each (lambda (x) (display x) (display \" \")) '(1 2 3))").unwrap();
@@ -238,7 +286,6 @@ fn error_messages_are_informative() {
 
 #[test]
 fn runtime_errors_carry_backtraces() {
-    use segstack::baselines::Strategy;
     for s in Strategy::ALL {
         let mut e = Engine::with_strategy(s).unwrap();
         let err = e
@@ -262,7 +309,6 @@ fn runtime_errors_carry_backtraces() {
 
 #[test]
 fn backtraces_cross_segment_boundaries() {
-    use segstack::baselines::Strategy;
     use segstack::core::Config;
     let cfg = Config::builder().segment_slots(160).frame_bound(48).copy_bound(16).build().unwrap();
     let mut e = Engine::builder().strategy(Strategy::Segmented).config(cfg).build().unwrap();
@@ -463,7 +509,6 @@ fn prelude_sort() {
 
 #[test]
 fn stack_frames_introspection() {
-    use segstack::baselines::Strategy;
     for s in Strategy::ALL {
         let mut e = Engine::with_strategy(s).unwrap();
         let v = e

@@ -49,7 +49,7 @@ fn verifier_holds_under_every_check_policy() {
 
 #[test]
 fn verifier_catches_corruption() {
-    use segstack::scheme::{Check, Chunk, CodeStore, Instr};
+    use segstack::scheme::{Check, Chunk, CodeStore, Instr, Symbol};
     let store = CodeStore::new();
     store.add(Chunk {
         instrs: vec![
@@ -61,7 +61,7 @@ fn verifier_catches_corruption() {
         consts: vec![],
         nparams: 0,
         variadic: false,
-        name: "bad".into(),
+        name: Symbol::intern("bad"),
         frame_slots: 6,
         ics: vec![],
     });
