@@ -677,16 +677,18 @@ pub fn e14_frame_sizes() -> Table {
          same way (§6)",
         &["metric", "slots"],
     );
-    let mut e = Engine::new().expect("engine");
-    for src in [
+    // Every unit stays owned here, so all the code compiled stays live and
+    // `frame_sizes` covers it.
+    let mut e = Engine::builder().without_prelude().build().expect("engine");
+    let mut units = Vec::new();
+    let libs = [
+        segstack_scheme::prelude::PRELUDE,
         segstack_control::libs::COROUTINES,
         segstack_control::libs::GENERATORS,
         segstack_control::libs::ENGINES,
         segstack_control::libs::AMB,
-    ] {
-        e.eval(src).expect("control library");
-    }
-    for src in [
+    ];
+    let workloads = [
         w::fib(5),
         w::tak(3, 2, 1),
         w::ctak(3, 2, 1),
@@ -697,10 +699,14 @@ pub fn e14_frame_sizes() -> Table {
         w::deep_sum(5),
         w::tail_loop(5),
         w::looper(2),
-    ] {
-        e.eval(&src).expect("workload");
+    ];
+    for src in libs.into_iter().chain(workloads.iter().map(String::as_str)) {
+        let unit = e.compile(src).expect("compiles").expect("one unit");
+        e.run(unit.clone()).expect("runs");
+        units.push(unit);
     }
     let mut sizes = e.frame_sizes();
+    assert_eq!(sizes.len(), e.chunk_count(), "every compiled chunk is live");
     sizes.sort_unstable();
     let n = sizes.len();
     let pct = |p: f64| u64::from(sizes[(((n - 1) as f64) * p) as usize]);

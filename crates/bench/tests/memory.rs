@@ -10,6 +10,9 @@
 //! needs no cell, so it makes no closure→cell→closure cycle, and a call to
 //! it allocates nothing.
 //!
+//! Compiled code is owned by the closures, chunks and frames that can run
+//! it, so an evaluation or a job that is over leaves none of it behind.
+//!
 //! Live heap bytes and allocations are counted by this binary's global
 //! allocator. The file holds a single `#[test]` so that no other test
 //! thread allocates while it measures.
@@ -85,6 +88,7 @@ fn warm_engines_retain_no_garbage() {
     let mut report = Report::new();
     captures_retain_no_dead_segments(&mut report);
     letrec_procedures_make_no_cycles(&mut report);
+    finished_code_is_freed(&mut report);
     for (line, _) in &report {
         println!("{line}");
     }
@@ -155,7 +159,7 @@ fn letrec_procedures_make_no_cycles(report: &mut Report) {
     let mut rerun = |src: &str, expect: &str| {
         let chunk = engine.compile(src).expect("compiles").expect("one form");
         retained_per_run(3, 200, || {
-            assert_eq!(engine.run(chunk).expect("runs").to_string(), expect, "{src}");
+            assert_eq!(engine.run(chunk.clone()).expect("runs").to_string(), expect, "{src}");
         })
     };
     for (name, src, expect) in gated {
@@ -174,7 +178,7 @@ fn letrec_procedures_make_no_cycles(report: &mut Report) {
 
     let src = "((lambda () (define (loop i) (if (= i 0) 'done (loop (- i 1)))) (loop 100000)))";
     let chunk = engine.compile(src).expect("compiles").expect("one form");
-    engine.run(chunk).expect("warm-up run");
+    engine.run(chunk.clone()).expect("warm-up run");
     let before = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(engine.run(chunk).expect("runs").to_string(), "done");
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
@@ -183,5 +187,56 @@ fn letrec_procedures_make_no_cycles(report: &mut Report) {
             "100,000-iteration internal-define loop: {allocs} allocations (bound {LOOP_ALLOCS})"
         ),
         allocs <= LOOP_ALLOCS,
+    ));
+}
+
+/// Each program is compiled anew on every run, as `Engine::eval` and
+/// `spawn_job` do; once a run is over nothing owns its code, so the code
+/// store keeps no more than an id's share of its index.
+fn finished_code_is_freed(report: &mut Report) {
+    const RUN_BOUND: i64 = 16;
+    const JOB_BOUND: i64 = 64;
+    let evaluated = [
+        ("eval of a lambda application", "((lambda (x) (+ x 1)) 41)", "42"),
+        ("eval of a named let", "(let loop ((i 0)) (if (< i 10) (loop (+ i 1)) i))", "10"),
+        (
+            "eval of a letrec of two procedures",
+            "(letrec ((f (lambda (n) (if (= n 0) 0 (f (- n 1)))))
+                      (g (lambda (n) (if (= n 0) 1 (g (- n 1))))))
+               (+ (f 5) (g 5)))",
+            "1",
+        ),
+    ];
+    let mut engine = Engine::new().expect("default engine");
+    for (name, src, expect) in evaluated {
+        let per_run = retained_per_run(3, 200, || {
+            assert_eq!(engine.eval_to_string(src).expect("runs"), expect, "{src}");
+        });
+        report.push((format!("{name}: {per_run} B/run (bound {RUN_BOUND})"), per_run <= RUN_BOUND));
+    }
+
+    // A job that finishes in its first quantum: spawning compiles it, and
+    // finishing drops it. The heap strategy keeps no stack buffer, so what
+    // a job leaves is its code; the segmented figure is printed beside it.
+    let src = w::tak(12, 8, 4);
+    let per_job = |strategy: Strategy| {
+        let mut kit = Control::new(strategy).expect("control kit");
+        retained_per_run(3, 200, || {
+            let mut job = kit.spawn_job(&src).expect("spawn");
+            match kit.step_job(&mut job, 1_000_000).expect("step") {
+                Step::Done { value, .. } => assert_eq!(value.to_string(), "5"),
+                Step::Expired => panic!("tak 12 8 4 finishes in one quantum"),
+            }
+        })
+    };
+    let heap = per_job(Strategy::Heap);
+    report.push((
+        format!("one-quantum tak 12 8 4 job, heap: {heap} B/job (bound {JOB_BOUND})"),
+        heap <= JOB_BOUND,
+    ));
+    let segmented = per_job(Strategy::Segmented);
+    report.push((
+        format!("one-quantum tak 12 8 4 job, segmented: {segmented} B/job (not gated)"),
+        true,
     ));
 }

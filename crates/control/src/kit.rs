@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use segstack_baselines::Strategy;
 use segstack_core::{Config, Metrics, RingSink};
-use segstack_scheme::{CheckPolicy, Engine, SchemeError, Value};
+use segstack_scheme::{CheckPolicy, Chunk, Engine, SchemeError, Value};
 
 use crate::libs;
 
@@ -29,7 +29,7 @@ pub struct Control {
     engine: Engine,
     /// The quantum driver's top-level chunk, compiled on the first
     /// [`Control::step_job`] and rerun by every later one.
-    pub(crate) driver: Option<u32>,
+    pub(crate) driver: Option<Rc<Chunk>>,
 }
 
 impl Control {

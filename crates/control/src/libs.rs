@@ -128,17 +128,23 @@ pub const ENGINES: &str = r#"
   (let ((do-complete #f) (do-expire #f))
     (define (timer-handler)
       (start-timer (call/cc do-expire) timer-handler))
+    ;; A quantum always leaves through `escape` with a thunk; once it has,
+    ;; `escape` is dead, and dropping it lets its stack go too.
     (define (new-engine resume)
       (lambda (ticks complete expire)
-        ((call/cc
-           (lambda (escape)
-             (set! do-complete
-               (lambda (value ticks)
-                 (escape (lambda () (complete value ticks)))))
-             (set! do-expire
-               (lambda (resume)
-                 (escape (lambda () (expire (new-engine resume))))))
-             (resume ticks))))))
+        (let ((then
+                (call/cc
+                  (lambda (escape)
+                    (set! do-complete
+                      (lambda (value ticks)
+                        (escape (lambda () (complete value ticks)))))
+                    (set! do-expire
+                      (lambda (resume)
+                        (escape (lambda () (expire (new-engine resume))))))
+                    (resume ticks)))))
+          (set! do-complete #f)
+          (set! do-expire #f)
+          (then))))
     (lambda (thunk)
       (new-engine
         (lambda (ticks)

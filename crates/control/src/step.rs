@@ -95,15 +95,17 @@ impl Control {
         let quantum = quantum.clamp(1, i64::MAX as u64);
         self.engine().define("%step-job-engine", job.eng.clone());
         self.engine().define("%step-job-quantum", Value::Fixnum(quantum as i64));
-        let driver = match self.driver {
-            Some(chunk) => chunk,
+        let driver = match &self.driver {
+            Some(chunk) => chunk.clone(),
             None => {
                 let chunk = self.engine().compile(STEP_DRIVER)?.expect("the driver is one form");
-                self.driver = Some(chunk);
+                self.driver = Some(chunk.clone());
                 chunk
             }
         };
         let v = self.engine().run(driver);
+        // The job is the caller's to keep or drop; the kit holds none of it.
+        self.engine().define("%step-job-engine", Value::Unspecified);
         job.quanta += 1;
         let v = match v {
             Ok(v) => v,

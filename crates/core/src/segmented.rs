@@ -1119,6 +1119,24 @@ impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
         self.buf.borrow_mut()[0] = S::from_return_address(ReturnAddress::Exit);
     }
 
+    /// Releases the dead span and, if no record shares the buffer once
+    /// queued releases have run, moves back to its bottom, as `reset`
+    /// does with such a buffer. Without the move, every computation that
+    /// captured below its top and then reinstated left the next one
+    /// starting higher in the segment.
+    fn exited(&mut self) {
+        if self.fp != self.base || self.link.is_some() {
+            return;
+        }
+        self.release_dead_span(self.base);
+        if Rc::strong_count(&self.buf) == 1 {
+            self.base = 0;
+            self.fp = 0;
+        }
+        self.hw = self.fp;
+        self.buf.borrow_mut()[self.base] = S::from_return_address(ReturnAddress::Exit);
+    }
+
     fn trace_summaries(&self) -> Vec<(EventKind, segstack_trace::HistSummary)> {
         self.sink.as_ref().map_or_else(Vec::new, |ring| ring.borrow().summaries())
     }
@@ -1262,6 +1280,23 @@ mod tests {
             assert_eq!(stack.get(1), TestSlot::Int(1));
         }
         assert_eq!(stack.metrics().reinstatements, 3);
+    }
+
+    #[test]
+    fn an_exited_stack_returns_to_the_bottom_once_no_record_shares_it() {
+        let (code, mut stack) = setup(small_cfg());
+        call1(&mut stack, &code, 4, 1, true);
+        let k = stack.capture();
+        stack.reinstate(&k).unwrap();
+        assert_eq!(stack.ret().unwrap(), ReturnAddress::Exit);
+        assert_eq!(stack.segment_base(), 4, "the copy sits above the record");
+        stack.exited();
+        assert_eq!((stack.segment_base(), stack.fp()), (4, 4), "`k` still shares the buffer");
+        drop(k);
+        stack.exited();
+        assert_eq!((stack.segment_base(), stack.fp()), (0, 0));
+        stack.audit_invariants().unwrap();
+        assert_eq!(stack.ret().unwrap(), ReturnAddress::Exit);
     }
 
     #[test]

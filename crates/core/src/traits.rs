@@ -151,6 +151,13 @@ pub trait ControlStack<S: StackSlot> {
     /// preserved). Used between top-level evaluations.
     fn reset(&mut self);
 
+    /// Ends a computation that has returned to the exit routine
+    /// ([`ReturnAddress::Exit`]): the exit frame's contents are dead, and
+    /// the next computation starts afresh in it. A strategy may release
+    /// what the finished computation left behind; the default does
+    /// nothing.
+    fn exited(&mut self) {}
+
     /// Walks the live control state from the current frame downwards,
     /// returning up to `limit` return addresses (innermost first). This is
     /// the paper's §3 motivation for the code-stream frame-size words:

@@ -120,7 +120,7 @@ fn audit_loop(
                     ));
                 }
             }
-            Op::Ret => {
+            Op::Ret | Op::Finish => {
                 if relinked > 0 && copied != 0 {
                     return fail(format!(
                         "relinked underflow reinstatement still copied {copied} slots"

@@ -137,6 +137,13 @@ pub fn apply_op(
             Obs::TailOk
         }
         Op::Ret => Obs::Ret(stack.ret().expect("ret cannot fail")),
+        Op::Finish => {
+            let ra = stack.ret().expect("ret cannot fail");
+            if ra == ReturnAddress::Exit {
+                stack.exited();
+            }
+            Obs::Ret(ra)
+        }
         Op::Set { i, v } => {
             stack.set(*i, TestSlot::Int(*v));
             Obs::SetOk
@@ -244,7 +251,7 @@ pub fn run_oracle(spec: &TraceSpec, compiled: &CompiledTrace) -> Result<RunLog, 
                 as u64;
         let tails = spec.ops.iter().filter(|o| matches!(o, Op::TailCall { .. })).count() as u64;
         let leafs = spec.ops.iter().filter(|o| matches!(o, Op::LeafCall { .. })).count() as u64;
-        let rets = spec.ops.iter().filter(|o| matches!(o, Op::Ret)).count() as u64
+        let rets = spec.ops.iter().filter(|o| matches!(o, Op::Ret | Op::Finish)).count() as u64
             + leafs
             + drained.len() as u64;
         let caps = spec.ops.iter().filter(|o| matches!(o, Op::Capture | Op::CaptureOneShot)).count()

@@ -186,6 +186,14 @@ impl Oracle {
                 Obs::TailOk
             }
             Op::Ret => Obs::Ret(self.do_ret()),
+            Op::Finish => {
+                let ra = self.do_ret();
+                if ra == ReturnAddress::Exit {
+                    // The finished computation's exit frame is dead.
+                    *self.live_mask() = 0;
+                }
+                Obs::Ret(ra)
+            }
             Op::Set { i, v } => {
                 self.put(self.fp + i, TestSlot::Int(*v));
                 *self.live_mask() |= 1 << i;

@@ -47,7 +47,7 @@ pub fn arb_expr(rng: &mut SplitMix64, depth: u32, bound: u8, k_depth: u8) -> Str
     }
     let sub = |rng: &mut SplitMix64| arb_expr(rng, depth - 1, bound, k_depth);
     loop {
-        match rng.gen_range(0, 12) {
+        match rng.gen_range(0, 13) {
             0 => return leaf(rng, bound),
             1 => {
                 let (a, b) = (sub(rng), sub(rng));
@@ -118,6 +118,22 @@ pub fn arb_expr(rng: &mut SplitMix64, depth: u32, bound: u8, k_depth: u8) -> Str
                 return format!(
                     "(let () (define (rec n {v}) (if (< n 1) {v} (+ 1 (rec (- n 1) {b})))) \
                      (rec {n} {a}))"
+                );
+            }
+            11 => {
+                // A procedure's frame re-entered through a continuation
+                // after the procedure was `set!` to a new lambda, which
+                // leaves that frame the only owner of the old code. `pf`,
+                // `pk` and `pm` are outside the pool; `pm` allows one
+                // re-entry.
+                let (a, b) = (sub(rng), sub(rng));
+                return format!(
+                    "(let ((pm 0) (pk #f)) \
+                     (define (pf x) (+ x (call/cc (lambda (c) (set! pk c) 0)))) \
+                     (let ((r (pf {a}))) \
+                     (if (< pm 1) \
+                     (begin (set! pm 1) (set! pf (lambda (x) (* 2 x))) (pk {b})) \
+                     (+ r (pf 1)))))"
                 );
             }
             _ => {

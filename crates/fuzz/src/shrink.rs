@@ -81,6 +81,8 @@ fn simplify(op: &Op) -> Vec<Op> {
         // reuse failure mode); try downgrading it when the failure does
         // not depend on one-shot semantics.
         Op::CaptureOneShot => vec![Op::Capture],
+        // Likewise a finish is a return that also ends the computation.
+        Op::Finish => vec![Op::Ret],
         Op::Ret | Op::Capture => vec![],
     }
 }

@@ -54,6 +54,10 @@ pub enum Op {
     },
     /// `ret()`: observable return address (code, or exit at the bottom).
     Ret,
+    /// `ret()`, then [`exited()`](segstack_core::ControlStack::exited) if
+    /// that reached the exit routine: how the VM ends a top-level run.
+    /// Ends every unwind burst.
+    Finish,
     /// `set(i, Int(v))` with `1 <= i < 2 * frame_bound`.
     Set {
         /// Slot index relative to the frame pointer.
@@ -148,11 +152,13 @@ impl TraceSpec {
                         depth += 1;
                     }
                 } else {
-                    // Unwind burst: force underflows, possibly to the exit.
+                    // Unwind burst: force underflows, possibly to the exit,
+                    // and end the computation there as a finished run does.
                     let n = depth + 2;
-                    for _ in 0..n {
+                    for _ in 1..n {
                         ops.push(Op::Ret);
                     }
+                    ops.push(Op::Finish);
                     depth = 0;
                 }
                 continue;
@@ -279,6 +285,16 @@ mod tests {
     }
 
     #[test]
+    fn some_traces_end_a_computation() {
+        let finishes: usize = (0..50)
+            .map(|seed| {
+                TraceSpec::generate(seed, 256).ops.iter().filter(|o| **o == Op::Finish).count()
+            })
+            .sum();
+        assert!(finishes > 0, "unwind bursts no longer end with a finish");
+    }
+
+    #[test]
     fn generated_ops_respect_the_frame_bound() {
         for seed in 0..50 {
             let t = TraceSpec::generate(seed, 128);
@@ -298,7 +314,11 @@ mod tests {
                         assert!((1..2 * fb).contains(i), "seed {seed}: {op:?}");
                     }
                     Op::Backtrace { limit } => assert!(*limit >= 1),
-                    Op::Ret | Op::Capture | Op::CaptureOneShot | Op::Reinstate { .. } => {}
+                    Op::Ret
+                    | Op::Finish
+                    | Op::Capture
+                    | Op::CaptureOneShot
+                    | Op::Reinstate { .. } => {}
                 }
             }
         }

@@ -7,11 +7,18 @@
 //! [`FrameSizeTable`](segstack_core::FrameSizeTable) implementation reads
 //! `instrs[ra - 1]` to recover frame displacements for stack walking,
 //! continuation splitting and frame migration.
+//!
+//! Code is owned by what runs it. A closure holds its chunk, a chunk holds
+//! the chunks of the lambdas it makes, and every frame holds its closure
+//! in slot 1 (a top-level chunk runs under a closure of its own), so a
+//! chunk lives exactly while some frame, closure or continuation can
+//! still reach it. The store only indexes chunks, weakly, for the
+//! lookups that start from a return address.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use segstack_core::{CodeAddr, FrameSizeTable};
 
@@ -58,15 +65,9 @@ pub enum IcTarget {
         /// Fixnum fast-path operation, if the primitive has one.
         fast: FastOp,
     },
-    /// A closure; arity metadata lets the hit path skip `adjust_arity`.
-    Closure {
-        /// Code chunk of the closure body.
-        chunk: u32,
-        /// Required parameter count.
-        nparams: u16,
-        /// Whether extra arguments form a rest list.
-        variadic: bool,
-    },
+    /// A fixed-arity closure taking exactly this site's argument count,
+    /// so the hit path skips `adjust_arity`.
+    Closure,
 }
 
 /// One inline-cache slot. Interior-mutable: chunks are shared behind
@@ -122,10 +123,10 @@ pub enum Instr {
     GlobalSet(u32),
     /// `globals[g] = acc`, defining.
     GlobalDef(u32),
-    /// `acc = closure { chunk, free: frame[src..src+nfree] }`.
+    /// `acc = closure { lambdas[lambda], free: frame[src..src+nfree] }`.
     MakeClosure {
-        /// Code chunk of the body.
-        chunk: u32,
+        /// Index of the body's chunk in [`Chunk::lambdas`].
+        lambda: u32,
         /// First staged free-variable slot.
         src: u16,
         /// Number of free variables.
@@ -225,12 +226,19 @@ pub enum Instr {
 const _: () = assert!(std::mem::size_of::<Instr>() <= 16);
 
 /// A compiled code chunk: one lambda body or one top-level form.
+///
+/// Build one with [`Chunk::new`] and fill in its code; [`CodeStore::add`]
+/// gives it an id and returns the handle that owns it.
 #[derive(Debug)]
 pub struct Chunk {
     /// The instructions.
     pub instrs: Vec<Instr>,
     /// Constant pool.
     pub consts: Vec<Value>,
+    /// The chunks of the lambdas this chunk's `MakeClosure`s build,
+    /// indexed by their `lambda` field: a chunk owns the code of the
+    /// procedures it makes.
+    pub lambdas: Vec<Rc<Chunk>>,
     /// Required parameter count (lambda chunks).
     pub nparams: u16,
     /// Whether extra arguments are collected into a rest list.
@@ -243,15 +251,111 @@ pub struct Chunk {
     pub frame_slots: u16,
     /// Inline-cache slots, one per `CallGlobal`-family site.
     pub ics: Vec<IcSlot>,
+    /// The id [`CodeStore::add`] gave the chunk.
+    id: u32,
+    /// The index of the store that gave the id; the chunk clears its
+    /// entry there when it dies.
+    index: Option<Rc<RefCell<Index>>>,
 }
 
-/// Append-only store of compiled chunks; the system's code stream.
+impl Chunk {
+    /// An empty chunk named `name` taking `nparams` arguments, the last
+    /// of them a rest list if `variadic`.
+    pub fn new(name: Symbol, nparams: u16, variadic: bool) -> Chunk {
+        Chunk {
+            instrs: Vec::new(),
+            consts: Vec::new(),
+            lambdas: Vec::new(),
+            nparams,
+            variadic,
+            name,
+            frame_slots: 1,
+            ics: Vec::new(),
+            id: 0,
+            index: None,
+        }
+    }
+
+    /// The chunk's id in its store; return addresses name the chunk by it.
+    pub fn id(&self) -> u32 {
+        self.id
+    }
+}
+
+impl Drop for Chunk {
+    fn drop(&mut self) {
+        if let Some(index) = &self.index {
+            index.borrow_mut().release(self.id);
+        }
+    }
+}
+
+/// Chunk ids per page of the store's index.
+const PAGE: usize = 64;
+
+/// The store's weak index from chunk id to chunk, in pages of [`PAGE`]
+/// ids. A page is freed when its last chunk dies, so a freed chunk
+/// leaves at most one word behind: its dangling entry while a page-mate
+/// lives, and a share of one page pointer after.
+#[derive(Default)]
+struct Index {
+    pages: Vec<Option<Box<Page>>>,
+    /// The next id to give out. Ids are never reused.
+    next: u32,
+}
+
+struct Page {
+    /// Entries whose chunk is alive.
+    live: usize,
+    entries: [Weak<Chunk>; PAGE],
+}
+
+impl Index {
+    fn get(&self, id: u32) -> Option<Rc<Chunk>> {
+        let id = id as usize;
+        self.pages.get(id / PAGE)?.as_ref()?.entries[id % PAGE].upgrade()
+    }
+
+    fn insert(&mut self, chunk: &Rc<Chunk>) {
+        let id = chunk.id as usize;
+        if id / PAGE == self.pages.len() {
+            self.pages.push(None);
+        }
+        let page = self.pages[id / PAGE].get_or_insert_with(|| {
+            Box::new(Page { live: 0, entries: std::array::from_fn(|_| Weak::new()) })
+        });
+        page.entries[id % PAGE] = Rc::downgrade(chunk);
+        page.live += 1;
+    }
+
+    /// Forgets chunk `id`, which is dying.
+    fn release(&mut self, id: u32) {
+        let id = id as usize;
+        let slot = &mut self.pages[id / PAGE];
+        if let Some(page) = slot {
+            page.entries[id % PAGE] = Weak::new();
+            page.live -= 1;
+            if page.live == 0 {
+                *slot = None;
+            }
+        }
+    }
+}
+
+impl fmt::Debug for Index {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Index").field("next", &self.next).finish_non_exhaustive()
+    }
+}
+
+/// The system's code stream: gives out chunk ids in order and indexes the
+/// live chunks weakly. It owns no code.
 ///
 /// Implements [`FrameSizeTable`] by reading the data word before each
 /// return point, exactly as the paper's stack walker does.
 #[derive(Debug, Default)]
 pub struct CodeStore {
-    chunks: RefCell<Vec<Rc<Chunk>>>,
+    index: Rc<RefCell<Index>>,
 }
 
 impl CodeStore {
@@ -260,36 +364,65 @@ impl CodeStore {
         CodeStore::default()
     }
 
-    /// Adds a chunk, returning its id.
-    pub fn add(&self, chunk: Chunk) -> u32 {
-        let mut chunks = self.chunks.borrow_mut();
-        let id = chunks.len() as u32;
-        chunks.push(Rc::new(chunk));
-        id
+    /// Adds a chunk under the next id and returns the handle that owns
+    /// it: the chunk lives while this handle, or a closure, chunk or
+    /// frame holding a clone of it, does.
+    pub fn add(&self, mut chunk: Chunk) -> Rc<Chunk> {
+        let mut index = self.index.borrow_mut();
+        chunk.id = index.next;
+        chunk.index = Some(self.index.clone());
+        index.next += 1;
+        let chunk = Rc::new(chunk);
+        index.insert(&chunk);
+        chunk
     }
 
-    /// Fetches a chunk by id.
+    /// The chunk with id `id`, or `None` if it was freed or never
+    /// compiled here.
+    pub fn get(&self, id: u32) -> Option<Rc<Chunk>> {
+        self.index.borrow().get(id)
+    }
+
+    /// Fetches a live chunk by id.
     ///
     /// # Panics
     ///
-    /// Panics if the id was not produced by this store.
+    /// Panics if the id was not produced by this store, or its chunk was
+    /// freed.
     pub fn chunk(&self, id: u32) -> Rc<Chunk> {
-        self.chunks.borrow()[id as usize].clone()
+        self.get(id).unwrap_or_else(|| panic!("chunk {id} is not live in this code store"))
     }
 
-    /// Number of chunks compiled so far.
+    /// Whether `chunk` was added to this store, so that return addresses
+    /// into it resolve here.
+    pub(crate) fn holds(&self, chunk: &Chunk) -> bool {
+        chunk.index.as_ref().is_some_and(|index| Rc::ptr_eq(index, &self.index))
+    }
+
+    /// Number of chunks compiled so far, freed ones included.
     pub fn len(&self) -> usize {
-        self.chunks.borrow().len()
+        self.index.borrow().next as usize
     }
 
     /// Returns `true` if no chunks have been compiled.
     pub fn is_empty(&self) -> bool {
-        self.chunks.borrow().is_empty()
+        self.len() == 0
     }
 
-    /// Static frame sizes of every compiled chunk (experiment E14's input).
+    /// The live chunks, in id order.
+    fn live(&self) -> Vec<Rc<Chunk>> {
+        let index = self.index.borrow();
+        index
+            .pages
+            .iter()
+            .flatten()
+            .flat_map(|p| p.entries.iter().filter_map(Weak::upgrade))
+            .collect()
+    }
+
+    /// Static frame sizes of every live chunk (experiment E14's input).
     pub fn frame_sizes(&self) -> Vec<u16> {
-        self.chunks.borrow().iter().map(|c| c.frame_slots).collect()
+        self.live().iter().map(|c| c.frame_slots).collect()
     }
 }
 
@@ -311,22 +444,21 @@ impl fmt::Display for VerifyError {
 }
 
 impl CodeStore {
-    /// Structurally verifies every compiled chunk:
+    /// Structurally verifies every live chunk:
     ///
     /// * every `Call` is preceded by a `FrameSize` word (the timer re-entry
     ///   point) **and** followed by one (the word before the return point —
     ///   the paper's Figure 4 invariant that makes stacks walkable);
     /// * every `TailCall` is preceded by a `FrameSize` word;
     /// * jump targets stay inside the chunk;
-    /// * constant-pool and closure-chunk references resolve;
+    /// * constant-pool and closure-lambda references resolve;
     /// * staged slots stay within the recorded frame size.
     ///
     /// Returns every violation found (empty = verified).
     pub fn verify(&self) -> Vec<VerifyError> {
-        let chunks = self.chunks.borrow();
         let mut errors = Vec::new();
-        for (id, chunk) in chunks.iter().enumerate() {
-            let id32 = id as u32;
+        for chunk in self.live() {
+            let id32 = chunk.id;
             let n = chunk.instrs.len();
             let mut err = |offset: usize, message: String| {
                 errors.push(VerifyError { chunk: id32, offset, message });
@@ -399,10 +531,16 @@ impl CodeStore {
                     Instr::Const(c) if *c as usize >= chunk.consts.len() => {
                         err(i, format!("constant {c} outside pool of {}", chunk.consts.len()));
                     }
-                    Instr::MakeClosure { chunk: target, .. }
-                        if *target as usize >= chunks.len() =>
+                    Instr::MakeClosure { lambda, .. }
+                        if *lambda as usize >= chunk.lambdas.len() =>
                     {
-                        err(i, format!("closure chunk {target} does not exist"));
+                        err(
+                            i,
+                            format!(
+                                "closure lambda {lambda} outside table of {}",
+                                chunk.lambdas.len()
+                            ),
+                        );
                     }
                     Instr::LocalSet(slot)
                         if usize::from(*slot) >= usize::from(chunk.frame_slots) =>
@@ -425,8 +563,7 @@ impl CodeStore {
 
 impl FrameSizeTable for CodeStore {
     fn displacement(&self, ra: CodeAddr) -> usize {
-        let chunks = self.chunks.borrow();
-        let chunk = &chunks[ra.chunk() as usize];
+        let chunk = self.chunk(ra.chunk());
         match chunk.instrs[ra.offset() as usize - 1] {
             Instr::FrameSize(d) => d as usize,
             ref other => panic!(
@@ -560,60 +697,77 @@ impl fmt::Display for Chunk {
 mod tests {
     use super::*;
 
+    fn chunk(instrs: Vec<Instr>, frame_slots: u16) -> Chunk {
+        let mut c = Chunk::new(Symbol::intern("t"), 0, false);
+        c.instrs = instrs;
+        c.frame_slots = frame_slots;
+        c
+    }
+
     #[test]
     fn code_store_round_trips_chunks() {
         let store = CodeStore::new();
         assert!(store.is_empty());
-        let id = store.add(Chunk {
-            instrs: vec![Instr::Fix(1), Instr::Return],
-            consts: vec![],
-            nparams: 0,
-            variadic: false,
-            name: Symbol::intern("t"),
-            frame_slots: 1,
-            ics: Vec::new(),
-        });
-        assert_eq!(id, 0);
+        let c = store.add(chunk(vec![Instr::Fix(1), Instr::Return], 1));
+        assert_eq!(c.id(), 0);
         assert_eq!(store.len(), 1);
         assert_eq!(store.chunk(0).instrs.len(), 2);
         assert_eq!(store.frame_sizes(), vec![1]);
     }
 
     #[test]
+    fn a_chunk_is_freed_with_its_last_owner_and_its_id_is_not_reused() {
+        let store = CodeStore::new();
+        let body = store.add(chunk(vec![Instr::Nil, Instr::Return], 2));
+        let mut top = chunk(vec![Instr::MakeClosure { lambda: 0, src: 1, nfree: 0 }], 1);
+        top.lambdas.push(body);
+        let top = store.add(top);
+        assert_eq!((top.id(), store.len()), (1, 2));
+        assert!(store.get(0).is_some(), "the top level owns its lambda's chunk");
+        drop(top);
+        assert!(store.get(0).is_none() && store.get(1).is_none());
+        assert!(store.frame_sizes().is_empty());
+        assert_eq!(store.add(chunk(vec![Instr::Return], 1)).id(), 2);
+        assert_eq!(store.len(), 3);
+    }
+
+    #[test]
+    fn a_page_of_the_index_is_freed_with_its_last_chunk() {
+        let store = CodeStore::new();
+        let kept = store.add(chunk(vec![Instr::Return], 1));
+        let pages = |s: &CodeStore| s.index.borrow().pages.iter().flatten().count();
+        for _ in 0..3 * PAGE {
+            store.add(chunk(vec![Instr::Return], 1));
+        }
+        assert_eq!(pages(&store), 1, "only the page of the chunk still owned");
+        assert_eq!(store.chunk(0).id(), kept.id());
+        drop(kept);
+        assert_eq!(pages(&store), 0);
+        assert_eq!(store.len(), 3 * PAGE + 1);
+    }
+
+    #[test]
     fn displacement_reads_the_word_before_the_return_point() {
         let store = CodeStore::new();
-        let id = store.add(Chunk {
-            instrs: vec![
+        let c = store.add(chunk(
+            vec![
                 Instr::FrameSize(9),
                 Instr::Call { d: 3, nargs: 1, check: Check::Yes },
                 Instr::FrameSize(3),
                 Instr::Return, // return point at offset 3
             ],
-            consts: vec![],
-            nparams: 0,
-            variadic: false,
-            name: Symbol::intern("t"),
-            frame_slots: 6,
-            ics: Vec::new(),
-        });
-        assert_eq!(store.displacement(CodeAddr::new(id, 3)), 3);
-        assert_eq!(store.displacement(CodeAddr::new(id, 1)), 9);
+            6,
+        ));
+        assert_eq!(store.displacement(CodeAddr::new(c.id(), 3)), 3);
+        assert_eq!(store.displacement(CodeAddr::new(c.id(), 1)), 9);
     }
 
     #[test]
     #[should_panic(expected = "not preceded by a frame-size word")]
     fn displacement_panics_on_non_return_point() {
         let store = CodeStore::new();
-        let id = store.add(Chunk {
-            instrs: vec![Instr::Fix(1), Instr::Return],
-            consts: vec![],
-            nparams: 0,
-            variadic: false,
-            name: Symbol::intern("t"),
-            frame_slots: 1,
-            ics: Vec::new(),
-        });
-        store.displacement(CodeAddr::new(id, 1));
+        let c = store.add(chunk(vec![Instr::Fix(1), Instr::Return], 1));
+        store.displacement(CodeAddr::new(c.id(), 1));
     }
 
     #[test]
@@ -636,15 +790,9 @@ mod tests {
 
     #[test]
     fn chunk_disassembly_is_nonempty() {
-        let c = Chunk {
-            instrs: vec![Instr::Nil, Instr::Return],
-            consts: vec![],
-            nparams: 1,
-            variadic: true,
-            name: Symbol::intern("f"),
-            frame_slots: 3,
-            ics: Vec::new(),
-        };
+        let mut c = Chunk::new(Symbol::intern("f"), 1, true);
+        c.instrs = vec![Instr::Nil, Instr::Return];
+        c.frame_slots = 3;
         let listing = c.to_string();
         assert!(listing.contains("chunk \"f\""));
         assert!(listing.contains("Return"));

@@ -16,6 +16,7 @@
 //!   the paper's §5 elision.
 
 use std::fmt;
+use std::rc::Rc;
 
 use crate::code::{Check, Chunk, CodeStore, IcSlot, Instr};
 use crate::error::SchemeError;
@@ -56,7 +57,12 @@ impl Default for CompileOptions {
     }
 }
 
-/// Compiles one top-level datum to a chunk in `store`, returning its id.
+/// Compiles one top-level datum to a chunk in `store`, returning the
+/// handle that owns it (and, through it, the chunks of its lambdas).
+///
+/// A top-level chunk runs like a procedure of no parameters: slot 1 of
+/// its frame holds a closure over it (see [`crate::vm::run`]), so its
+/// temporaries start at slot 2.
 ///
 /// # Errors
 ///
@@ -68,14 +74,12 @@ pub fn compile_toplevel(
     store: &CodeStore,
     globals: &mut crate::code::Globals,
     opts: &CompileOptions,
-) -> Result<u32, SchemeError> {
+) -> Result<Rc<Chunk>, SchemeError> {
     let ast = expander.expand_toplevel(datum)?;
     let rexpr = resolve_toplevel(&ast, globals)?;
-    let mut g =
-        Gen { store, opts, globals, instrs: Vec::new(), consts: Vec::new(), max_stage: 1, ics: 0 };
-    g.gen_tail(&rexpr, 1)?;
-    let name = Symbol::intern(&format!("toplevel-{}", store.len()));
-    Ok(store.add(g.finish(name, 0, false)))
+    let mut g = Gen::new(store, opts, globals, PARAM_BASE);
+    g.gen_tail(&rexpr, PARAM_BASE)?;
+    Ok(store.add(g.finish(Symbol::intern("toplevel"), 0, false)))
 }
 
 struct Gen<'a> {
@@ -86,13 +90,33 @@ struct Gen<'a> {
     globals: &'a crate::code::Globals,
     instrs: Vec<Instr>,
     consts: Vec<Value>,
+    /// Chunks of the lambdas compiled so far in this chunk.
+    lambdas: Vec<Rc<Chunk>>,
     max_stage: u16,
     /// Inline-cache slots allocated so far in this chunk.
     ics: u32,
 }
 
-impl Gen<'_> {
-    fn compile_lambda(&self, l: &RLambda) -> Result<u32, SchemeError> {
+impl<'a> Gen<'a> {
+    fn new(
+        store: &'a CodeStore,
+        opts: &'a CompileOptions,
+        globals: &'a crate::code::Globals,
+        max_stage: u16,
+    ) -> Self {
+        Gen {
+            store,
+            opts,
+            globals,
+            instrs: Vec::new(),
+            consts: Vec::new(),
+            lambdas: Vec::new(),
+            max_stage,
+            ics: 0,
+        }
+    }
+
+    fn compile_lambda(&self, l: &RLambda) -> Result<Rc<Chunk>, SchemeError> {
         let wm = PARAM_BASE + l.nparams;
         if wm as usize > self.opts.frame_bound {
             return Err(SchemeError::compile(format!(
@@ -101,15 +125,7 @@ impl Gen<'_> {
                 self.opts.frame_bound
             )));
         }
-        let mut g = Gen {
-            store: self.store,
-            opts: self.opts,
-            globals: self.globals,
-            instrs: Vec::new(),
-            consts: Vec::new(),
-            max_stage: wm,
-            ics: 0,
-        };
+        let mut g = Gen::new(self.store, self.opts, self.globals, wm);
         for (i, boxed) in l.boxed_params.iter().enumerate() {
             if *boxed {
                 g.instrs.push(Instr::WrapCell(PARAM_BASE + i as u16));
@@ -122,15 +138,13 @@ impl Gen<'_> {
 
     /// Packages the finished chunk.
     fn finish(self, name: Symbol, nparams: u16, variadic: bool) -> Chunk {
-        Chunk {
-            instrs: self.instrs,
-            consts: self.consts,
-            nparams,
-            variadic,
-            name,
-            frame_slots: self.max_stage,
-            ics: (0..self.ics).map(|_| IcSlot::default()).collect(),
-        }
+        let mut chunk = Chunk::new(name, nparams, variadic);
+        chunk.instrs = self.instrs;
+        chunk.consts = self.consts;
+        chunk.lambdas = self.lambdas;
+        chunk.frame_slots = self.max_stage;
+        chunk.ics = (0..self.ics).map(|_| IcSlot::default()).collect();
+        chunk
     }
 
     /// Allocates an inline-cache slot for a `CallGlobal`-family site.
@@ -359,7 +373,8 @@ impl Gen<'_> {
     }
 
     fn gen_closure(&mut self, l: &RLambda, wm: u16) -> Result<(), SchemeError> {
-        let chunk = self.compile_lambda(l)?;
+        self.lambdas.push(self.compile_lambda(l)?);
+        let lambda = self.lambdas.len() as u32 - 1;
         let nfree = l.captures.len() as u16;
         for (i, cap) in l.captures.iter().enumerate() {
             let dst = wm + i as u16;
@@ -374,7 +389,7 @@ impl Gen<'_> {
                 }
             }
         }
-        self.instrs.push(Instr::MakeClosure { chunk, src: wm, nfree });
+        self.instrs.push(Instr::MakeClosure { lambda, src: wm, nfree });
         Ok(())
     }
 
@@ -438,39 +453,34 @@ mod tests {
     use crate::code::Globals;
     use crate::reader::read_one;
 
-    fn compile(src: &str) -> (CodeStore, Globals, u32) {
+    fn compile(src: &str) -> Rc<Chunk> {
         compile_with(src, CheckPolicy::Elide)
     }
 
-    fn compile_with(src: &str, policy: CheckPolicy) -> (CodeStore, Globals, u32) {
+    fn compile_with(src: &str, policy: CheckPolicy) -> Rc<Chunk> {
         let store = CodeStore::new();
         let mut globals = Globals::new();
         let mut ex = Expander::new();
         let opts = CompileOptions { policy, ..CompileOptions::default() };
-        let id = compile_toplevel(&read_one(src).unwrap(), &mut ex, &store, &mut globals, &opts)
-            .unwrap();
-        (store, globals, id)
+        compile_toplevel(&read_one(src).unwrap(), &mut ex, &store, &mut globals, &opts).unwrap()
     }
 
     #[test]
     fn constant_compiles_to_inline_and_return() {
-        let (store, _, id) = compile("42");
-        let c = store.chunk(id);
+        let c = compile("42");
         assert_eq!(c.instrs, vec![Instr::Fix(42), Instr::Return]);
     }
 
     #[test]
     fn large_constants_go_to_the_pool() {
-        let (store, _, id) = compile("\"hello\"");
-        let c = store.chunk(id);
+        let c = compile("\"hello\"");
         assert!(matches!(c.instrs[0], Instr::Const(0)));
         assert_eq!(c.consts.len(), 1);
     }
 
     #[test]
     fn call_emits_frame_size_words_around_it() {
-        let (store, _, id) = compile("(f 1 2)");
-        let c = store.chunk(id);
+        let c = compile("(f 1 2)");
         // Tail position at top level; the unbound-global operator goes
         // through the inline-cached superinstruction, still preceded by
         // its FrameSize word.
@@ -480,8 +490,7 @@ mod tests {
 
     #[test]
     fn non_tail_call_has_displacement_word_before_return_point() {
-        let (store, _, id) = compile("(g (f 1))");
-        let c = store.chunk(id);
+        let c = compile("(g (f 1))");
         let call_at = c
             .instrs
             .iter()
@@ -495,29 +504,27 @@ mod tests {
 
     #[test]
     fn lambda_chunks_are_compiled_with_params() {
-        let (store, _, id) = compile("(lambda (a b) a)");
-        let c = store.chunk(id);
-        let Instr::MakeClosure { chunk, nfree, .. } =
+        let c = compile("(lambda (a b) a)");
+        let Instr::MakeClosure { lambda, nfree, .. } =
             *c.instrs.iter().find(|i| matches!(i, Instr::MakeClosure { .. })).unwrap()
         else {
             unreachable!()
         };
         assert_eq!(nfree, 0);
-        let body = store.chunk(chunk);
+        let body = &c.lambdas[lambda as usize];
         assert_eq!(body.nparams, 2);
         assert_eq!(body.instrs, vec![Instr::LocalRef(2), Instr::Return]);
     }
 
     #[test]
     fn boxed_params_get_wrap_cell_prologue() {
-        let (store, _, id) = compile("(lambda (a) (set! a 1) a)");
-        let c = store.chunk(id);
-        let Instr::MakeClosure { chunk, .. } =
+        let c = compile("(lambda (a) (set! a 1) a)");
+        let Instr::MakeClosure { lambda, .. } =
             *c.instrs.iter().find(|i| matches!(i, Instr::MakeClosure { .. })).unwrap()
         else {
             unreachable!()
         };
-        let body = store.chunk(chunk);
+        let body = &c.lambdas[lambda as usize];
         assert_eq!(body.instrs[0], Instr::WrapCell(2));
         assert!(body.instrs.contains(&Instr::CellSet(2)));
         assert!(body.instrs.contains(&Instr::CellRef(2)));
@@ -525,14 +532,13 @@ mod tests {
 
     #[test]
     fn captures_are_staged_before_make_closure() {
-        let (store, _, id) = compile("(lambda (a) (lambda () a))");
-        let c = store.chunk(id);
-        let Instr::MakeClosure { chunk: outer_chunk, .. } =
+        let c = compile("(lambda (a) (lambda () a))");
+        let Instr::MakeClosure { lambda, .. } =
             *c.instrs.iter().find(|i| matches!(i, Instr::MakeClosure { .. })).unwrap()
         else {
             unreachable!()
         };
-        let outer = store.chunk(outer_chunk);
+        let outer = &c.lambdas[lambda as usize];
         // Outer body: Move{2→3}; MakeClosure{src:3,nfree:1}; Return
         assert_eq!(outer.instrs[0], Instr::Move { src: 2, dst: 3 });
         assert!(matches!(outer.instrs[1], Instr::MakeClosure { nfree: 1, src: 3, .. }));
@@ -543,8 +549,7 @@ mod tests {
         for (policy, expect) in
             [(CheckPolicy::Always, Check::Yes), (CheckPolicy::Never, Check::Elided)]
         {
-            let (store, _, id) = compile_with("(g (f 1))", policy);
-            let c = store.chunk(id);
+            let c = compile_with("(g (f 1))", policy);
             let Some(Instr::CallGlobal { check, .. }) =
                 c.instrs.iter().find(|i| matches!(i, Instr::CallGlobal { .. }))
             else {
@@ -557,8 +562,7 @@ mod tests {
     #[test]
     fn elide_skips_checks_for_direct_leaf_lambdas() {
         // ((lambda (x) x) (f 1)) — outer call is direct to a leaf.
-        let (store, _, id) = compile("(g ((lambda (x) x) 1))");
-        let c = store.chunk(id);
+        let c = compile("(g ((lambda (x) x) 1))");
         let checks: Vec<Check> = c
             .instrs
             .iter()
@@ -579,7 +583,7 @@ mod tests {
         let mut globals = Globals::new();
         crate::primitives::install(&mut globals);
         let mut ex = Expander::new();
-        let id = compile_toplevel(
+        let c = compile_toplevel(
             &read_one("(g (let ((t 1)) (* t t)))").unwrap(),
             &mut ex,
             &store,
@@ -587,7 +591,6 @@ mod tests {
             &CompileOptions::default(),
         )
         .unwrap();
-        let c = store.chunk(id);
         let checks: Vec<Check> = c
             .instrs
             .iter()
@@ -601,8 +604,7 @@ mod tests {
 
     #[test]
     fn if_compiles_with_patched_jumps() {
-        let (store, _, id) = compile("(if #t 1 2)");
-        let c = store.chunk(id);
+        let c = compile("(if #t 1 2)");
         assert!(matches!(c.instrs[0], Instr::True));
         let Instr::JumpIfFalse(t) = c.instrs[1] else { panic!("{:?}", c.instrs) };
         // In tail position both arms end with Return; the false target is
@@ -630,8 +632,7 @@ mod tests {
 
     #[test]
     fn frame_slots_are_recorded_for_e14() {
-        let (store, _, id) = compile("(f (g 1 2) (h 3))");
-        let c = store.chunk(id);
+        let c = compile("(f (g 1 2) (h 3))");
         assert!(c.frame_slots >= 5, "frame slots: {}", c.frame_slots);
     }
 }

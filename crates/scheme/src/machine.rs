@@ -7,7 +7,7 @@ use std::rc::Rc;
 use segstack_baselines::Strategy;
 use segstack_core::{Config, ControlStack, Metrics, RingSink, SegmentedStack, StackStats};
 
-use crate::code::{CodeStore, Globals};
+use crate::code::{Chunk, CodeStore, Globals};
 use crate::codegen::{compile_toplevel, CheckPolicy, CompileOptions};
 use crate::error::SchemeError;
 use crate::expand::Expander;
@@ -133,6 +133,7 @@ impl EngineBuilder {
             timer: TimerState::default(),
             vm_opts,
             copts,
+            last: None,
         };
         if self.prelude {
             engine.eval(PRELUDE)?;
@@ -198,6 +199,8 @@ pub struct Engine {
     timer: TimerState,
     vm_opts: VmOptions,
     copts: CompileOptions,
+    /// The top level compiled last, kept for [`Engine::disassemble_last`].
+    last: Option<Rc<Chunk>>,
 }
 
 impl Engine {
@@ -245,11 +248,15 @@ impl Engine {
 
     /// Reads and compiles `src` as one program unit without running it,
     /// returning its top-level chunk, or `None` if `src` holds no forms.
+    /// The chunk owns the code of the whole unit: once nothing holds it
+    /// (or a closure, frame or continuation made from it), the code is
+    /// freed. The engine keeps the last unit it compiled for
+    /// [`Engine::disassemble_last`].
     ///
     /// # Errors
     ///
     /// Lexing, parsing or compilation errors; nothing has run.
-    pub fn compile(&mut self, src: &str) -> Result<Option<u32>, SchemeError> {
+    pub fn compile(&mut self, src: &str) -> Result<Option<Rc<Chunk>>, SchemeError> {
         let forms = read_all(src)?;
         if forms.is_empty() {
             return Ok(None);
@@ -268,6 +275,7 @@ impl Engine {
             &mut self.globals,
             &self.copts,
         )?;
+        self.last = Some(chunk.clone());
         Ok(Some(chunk))
     }
 
@@ -283,7 +291,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if `chunk` is not a chunk of this engine.
-    pub fn run(&mut self, chunk: u32) -> Result<Value, SchemeError> {
+    pub fn run(&mut self, chunk: Rc<Chunk>) -> Result<Value, SchemeError> {
         let result = match &mut self.stack {
             EngineStack::Seg(stack) => run(
                 &mut **stack,
@@ -412,46 +420,55 @@ impl Engine {
         self.stack.as_dyn_mut().reset();
     }
 
-    /// Static frame sizes of every chunk compiled so far (experiment E14).
+    /// Static frame sizes of every live chunk (experiment E14): the code
+    /// something can still run.
     pub fn frame_sizes(&self) -> Vec<u16> {
         self.store.frame_sizes()
     }
 
-    /// Structurally verifies every chunk compiled so far (the Figure 4
-    /// code-stream invariants; see [`CodeStore::verify`]).
+    /// Structurally verifies every live chunk (the Figure 4 code-stream
+    /// invariants; see [`CodeStore::verify`]).
     pub fn verify_code(&self) -> Vec<crate::code::VerifyError> {
         self.store.verify()
     }
 
-    /// Number of code chunks compiled so far.
+    /// Number of code chunks compiled so far, freed ones included (chunk
+    /// ids run from 0 to this count).
     pub fn chunk_count(&self) -> usize {
         self.store.len()
     }
 
     /// A disassembly listing of chunk `id` (one instruction per line,
     /// including the `FrameSize` data words around every call — the
-    /// paper's Figure 4 layout, visible).
+    /// paper's Figure 4 layout, visible), or a one-line note if that
+    /// chunk has been freed.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not a chunk of this engine.
+    /// Panics if `id` is not below [`Engine::chunk_count`].
     pub fn disassemble(&self, id: u32) -> String {
-        self.store.chunk(id).to_string()
+        assert!((id as usize) < self.store.len(), "chunk {id} was never compiled");
+        match self.store.get(id) {
+            Some(chunk) => chunk.to_string(),
+            None => format!(";; chunk {id} has been freed\n"),
+        }
     }
 
-    /// Disassembles the most recently compiled chunk (e.g. the last
-    /// `eval`'s top level).
+    /// Disassembles the top level most recently compiled (e.g. the last
+    /// `eval`'s), which the engine keeps for this.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing has been compiled yet.
     pub fn disassemble_last(&self) -> String {
-        let n = self.store.len();
-        assert!(n > 0, "nothing compiled yet");
-        self.disassemble(n as u32 - 1)
+        self.last.as_ref().expect("nothing compiled yet").to_string()
     }
 
     /// Disassembles the procedure a global name is bound to, if it is
     /// bound to a closure.
     pub fn disassemble_global(&self, name: &str) -> Option<String> {
         match self.global(name)? {
-            Value::Closure(c) => Some(self.disassemble(c.chunk)),
+            Value::Closure(c) => Some(c.chunk.to_string()),
             _ => None,
         }
     }
@@ -866,6 +883,15 @@ mod disassembly_tests {
         let mut e = Engine::builder().without_prelude().build().unwrap();
         e.eval("(+ 1 2)").unwrap();
         assert!(e.disassemble_last().contains("toplevel"));
+    }
+
+    #[test]
+    #[should_panic(expected = "was not compiled into this code store")]
+    fn running_another_engines_chunk_panics() {
+        let mut a = Engine::builder().without_prelude().build().unwrap();
+        let mut b = Engine::builder().without_prelude().build().unwrap();
+        let chunk = a.compile("(+ 1 2)").unwrap().unwrap();
+        let _ = b.run(chunk);
     }
 }
 

@@ -11,6 +11,7 @@ use std::rc::Rc;
 
 use segstack_core::{Continuation, ReturnAddress, StackSlot};
 
+use crate::code::Chunk;
 use crate::error::SchemeError;
 use crate::intern::Symbol;
 
@@ -44,19 +45,14 @@ impl Drop for Pair {
 }
 
 /// A compiled procedure: a code chunk plus captured free-variable values
-/// (flat "display" closures, as in Chez).
+/// (flat "display" closures, as in Chez). The closure owns its chunk,
+/// which carries the procedure's arity and name.
 #[derive(Debug)]
 pub struct Closure {
-    /// Index of the compiled code chunk for the body.
-    pub chunk: u32,
-    /// Number of required parameters.
-    pub nparams: u16,
-    /// Whether extra arguments are collected into a rest list.
-    pub variadic: bool,
+    /// The compiled body.
+    pub chunk: Rc<Chunk>,
     /// Captured free-variable values.
     pub free: Box<[Value]>,
-    /// Name for error messages, if known.
-    pub name: Option<Symbol>,
 }
 
 /// Index into the primitive-procedure table (see
@@ -463,10 +459,7 @@ fn write_value(v: &Value, f: &mut fmt::Formatter<'_>, display: bool, depth: usiz
             }
             write!(f, ")")
         }
-        Value::Closure(c) => match c.name {
-            Some(name) => write!(f, "#<procedure {name}>"),
-            None => write!(f, "#<procedure>"),
-        },
+        Value::Closure(c) => write!(f, "#<procedure {}>", c.chunk.name),
         Value::Primitive(p) => write!(f, "#<primitive {}>", crate::primitives::name_of(*p)),
         Value::Kont(k) => write!(f, "#<continuation {} records>", k.chain_len()),
         Value::Cell(c) => {

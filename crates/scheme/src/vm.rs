@@ -57,12 +57,20 @@ pub struct TimerState {
     pub handler: Value,
 }
 
-/// Runs chunk `entry` to completion.
+/// Runs the top-level chunk `entry` to completion, in the current frame
+/// and under a closure over it in the frame's slot 1: like every other
+/// frame, the top level's pins the chunk its return points are in. A run
+/// that completes tells the stack it has [exited](ControlStack::exited).
 ///
 /// # Errors
 ///
 /// Any [`SchemeError`] raised by the program, plus stack errors and the
 /// step-budget guard.
+///
+/// # Panics
+///
+/// Panics if `entry` was not added to `store`: its return points would
+/// resolve to another chunk.
 #[allow(clippy::too_many_arguments)]
 pub fn run<S: ControlStack<Value> + ?Sized>(
     stack: &mut S,
@@ -73,10 +81,11 @@ pub fn run<S: ControlStack<Value> + ?Sized>(
     opts: &VmOptions,
     expander: &mut Expander,
     copts: &CompileOptions,
-    entry: u32,
+    entry: Rc<Chunk>,
 ) -> Result<Value, SchemeError> {
-    let chunk = store.chunk(entry);
-    let mut vm = Vm {
+    assert!(store.holds(&entry), "chunk {} was not compiled into this code store", entry.id());
+    stack.set(1, Value::Closure(Rc::new(Closure { chunk: entry.clone(), free: Box::new([]) })));
+    let result = Vm {
         stack,
         store,
         globals,
@@ -85,13 +94,16 @@ pub fn run<S: ControlStack<Value> + ?Sized>(
         opts,
         expander,
         copts,
-        chunk,
-        chunk_id: entry,
+        chunk: entry,
         pc: 0,
         acc: Value::Unspecified,
         steps: 0,
-    };
-    vm.run()
+    }
+    .run();
+    if result.is_ok() {
+        stack.exited();
+    }
+    result
 }
 
 /// Where a call's operator and arguments are staged, which decides how
@@ -132,8 +144,8 @@ struct Vm<'a, S: ControlStack<Value> + ?Sized> {
     opts: &'a VmOptions,
     expander: &'a mut Expander,
     copts: &'a CompileOptions,
+    /// The running chunk; the frame's closure in slot 1 owns it too.
     chunk: Rc<Chunk>,
-    chunk_id: u32,
     pc: usize,
     acc: Value,
     steps: u64,
@@ -141,9 +153,8 @@ struct Vm<'a, S: ControlStack<Value> + ?Sized> {
 
 impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
     fn jump(&mut self, addr: CodeAddr) {
-        if addr.chunk() != self.chunk_id {
+        if addr.chunk() != self.chunk.id() {
             self.chunk = self.store.chunk(addr.chunk());
-            self.chunk_id = addr.chunk();
         }
         self.pc = addr.offset() as usize;
     }
@@ -278,17 +289,11 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
                     self.globals.define(g, self.acc.clone());
                     self.pc += 1;
                 }
-                Instr::MakeClosure { chunk, src, nfree } => {
+                Instr::MakeClosure { lambda, src, nfree } => {
                     let free: Box<[Value]> =
                         (0..nfree).map(|i| self.stack.get((src + i) as usize)).collect();
-                    let target = self.store.chunk(chunk);
-                    self.acc = Value::Closure(Rc::new(Closure {
-                        chunk,
-                        nparams: target.nparams,
-                        variadic: target.variadic,
-                        free,
-                        name: Some(target.name),
-                    }));
+                    let chunk = self.chunk.lambdas[lambda as usize].clone();
+                    self.acc = Value::Closure(Rc::new(Closure { chunk, free }));
                     self.pc += 1;
                 }
                 Instr::Jump(t) => self.pc = t as usize,
@@ -382,7 +387,7 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
     fn push(&mut self, site: Site, size: u16) -> Result<(), SchemeError> {
         match site {
             Site::Call { d, check } => {
-                let ret = CodeAddr::new(self.chunk_id, self.pc as u32 + 2);
+                let ret = CodeAddr::new(self.chunk.id(), self.pc as u32 + 2);
                 self.stack.call(d as usize, ret, size as usize, check.performs_check())?;
             }
             Site::Tail { src } => self.stack.tail_call(src as usize, size as usize),
@@ -391,13 +396,17 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
         Ok(())
     }
 
-    /// Pushes the callee's frame (see [`Vm::push`]) and enters chunk `id`.
+    /// Pushes the callee's frame (see [`Vm::push`]) and enters `chunk`.
     #[inline(always)]
-    fn enter(&mut self, site: Site, size: u16, id: u32) -> Result<Option<Value>, SchemeError> {
+    fn enter(
+        &mut self,
+        site: Site,
+        size: u16,
+        chunk: &Rc<Chunk>,
+    ) -> Result<Option<Value>, SchemeError> {
         self.push(site, size)?;
-        if id != self.chunk_id {
-            self.chunk = self.store.chunk(id);
-            self.chunk_id = id;
+        if !Rc::ptr_eq(&self.chunk, chunk) {
+            self.chunk = chunk.clone();
         }
         self.pc = 0;
         Ok(None)
@@ -426,11 +435,14 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
                     let v = self.run_primitive(Primitive(p), fast, site.op_slot() + 1, nargs)?;
                     return self.deliver(site, v);
                 }
-                IcTarget::Closure { chunk, nparams, variadic } if !variadic && nparams == nargs => {
+                IcTarget::Closure => {
                     self.stack.metrics_mut().ic_hits += 1;
-                    let opv = self.globals.get(g)?;
-                    self.stack.set(site.op_slot(), opv);
-                    return self.enter(site, 1 + nargs, chunk);
+                    let op = self.globals.get(g)?;
+                    self.stack.set(site.op_slot(), op.clone());
+                    let Value::Closure(c) = op else {
+                        unreachable!("an unchanged global still holds its closure")
+                    };
+                    return self.enter(site, 1 + nargs, &c.chunk);
                 }
                 _ => {}
             }
@@ -444,8 +456,9 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
 
     /// Fills an inline-cache slot from the operator just looked up.
     /// Primitives are cached only when `Normal` and arity-valid for this
-    /// site's fixed argument count (so hits skip both checks); anything
-    /// uncacheable records `Empty` and keeps taking the generic path.
+    /// site's fixed argument count, and closures only when they take
+    /// exactly that count (so hits skip the checks); anything else
+    /// records `Empty` and keeps taking the generic path.
     fn fill_ic(&mut self, ic: u32, ver: u32, op: &Value, nargs: u16) {
         let target = match op {
             Value::Primitive(p)
@@ -453,9 +466,7 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
             {
                 IcTarget::Prim { p: p.0, fast: fast_op(*p, nargs) }
             }
-            Value::Closure(c) => {
-                IcTarget::Closure { chunk: c.chunk, nparams: c.nparams, variadic: c.variadic }
-            }
+            Value::Closure(c) if !c.chunk.variadic && c.chunk.nparams == nargs => IcTarget::Closure,
             _ => IcTarget::Empty,
         };
         let slot = &self.chunk.ics[ic as usize];
@@ -532,7 +543,7 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
         let Instr::FrameSize(dh) = self.chunk.instrs[self.pc - 1] else {
             unreachable!("call instructions are preceded by a frame-size word")
         };
-        let ra = CodeAddr::new(self.chunk_id, self.pc as u32);
+        let ra = CodeAddr::new(self.chunk.id(), self.pc as u32);
         self.stack.set(dh as usize + 1, handler.clone());
         self.stack.call(dh as usize, ra, 1, true)?;
         match self.apply(handler, Site::Pushed, 0)? {
@@ -577,12 +588,7 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
     /// Checks a closure call's argument count and, for a variadic
     /// closure, collects the staged extras into a rest list at
     /// `argbase + required`. Returns the effective argument count.
-    fn adjust_arity(
-        &mut self,
-        c: &Closure,
-        argbase: usize,
-        nargs: u16,
-    ) -> Result<u16, SchemeError> {
+    fn adjust_arity(&mut self, c: &Chunk, argbase: usize, nargs: u16) -> Result<u16, SchemeError> {
         if c.variadic {
             let required = c.nparams - 1;
             if nargs < required {
@@ -620,12 +626,20 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
     fn apply_spread(&mut self, site: Site, nargs: u16) -> Result<Option<Value>, SchemeError> {
         let argbase = site.op_slot() + 1;
         let f = self.stack.get(argbase);
-        let mut args: Vec<Value> =
-            (1..nargs as usize - 1).map(|j| self.stack.get(argbase + j)).collect();
         let last = self.stack.get(argbase + nargs as usize - 1);
-        args.extend(last.list_to_vec().map_err(|_| {
-            SchemeError::runtime(format!("apply: last argument must be a proper list, got {last}"))
-        })?);
+        let Some(spread) = last.list_len() else {
+            return Err(SchemeError::runtime(format!(
+                "apply: last argument must be a proper list, got {last}"
+            )));
+        };
+        // One vector, reserved once: the explicit middles, then the list.
+        let mut args = Vec::with_capacity(nargs as usize - 2 + spread);
+        args.extend((1..nargs as usize - 1).map(|j| self.stack.get(argbase + j)));
+        let mut rest = last;
+        while let Value::Pair(p) = rest {
+            args.push(p.car.borrow().clone());
+            rest = p.cdr.borrow().clone();
+        }
         let mut enter = None;
         match &f {
             Value::Primitive(p) => {
@@ -636,17 +650,17 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
                     return self.deliver(site, v);
                 }
             }
-            Value::Closure(c) if c.variadic => {
-                let required = c.nparams as usize - 1;
+            Value::Closure(c) if c.chunk.variadic => {
+                let required = c.chunk.nparams as usize - 1;
                 if args.len() < required {
-                    return Err(closure_arity_error(c, args.len()));
+                    return Err(closure_arity_error(&c.chunk, args.len()));
                 }
                 let rest = Value::list(args.drain(required..));
                 self.stack.set(argbase + required, rest);
-                enter = Some((c.chunk, c.nparams));
+                enter = Some(c.chunk.clone());
             }
-            Value::Closure(c) if args.len() != usize::from(c.nparams) => {
-                return Err(closure_arity_error(c, args.len()));
+            Value::Closure(c) if args.len() != usize::from(c.chunk.nparams) => {
+                return Err(closure_arity_error(&c.chunk, args.len()));
             }
             Value::Kont(_) if args.len() != 1 => {
                 return Err(arity_error("continuation", "1", args.len()));
@@ -668,7 +682,7 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
             self.stack.set(argbase + j, v);
         }
         match enter {
-            Some((chunk, nparams)) => self.enter(site, 1 + nparams, chunk),
+            Some(chunk) => self.enter(site, 1 + chunk.nparams, &chunk),
             None => self.apply(f, site, n),
         }
     }
@@ -682,8 +696,8 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
         let argbase = site.op_slot() + 1;
         match op {
             Value::Closure(c) => {
-                let eff = self.adjust_arity(&c, argbase, nargs)?;
-                self.enter(site, 1 + eff, c.chunk)
+                let eff = self.adjust_arity(&c.chunk, argbase, nargs)?;
+                self.enter(site, 1 + eff, &c.chunk)
             }
             Value::Primitive(p) => {
                 self.check_prim_arity(p, nargs.into())?;
@@ -743,10 +757,12 @@ impl<S: ControlStack<Value> + ?Sized> Vm<'_, S> {
                             self.globals,
                             self.copts,
                         )?;
-                        // Run the fresh chunk like a 0-parameter procedure:
-                        // slot 1 holds the eval primitive, and toplevel
-                        // chunks never read their slot 1.
-                        self.enter(site, 1, entry)
+                        // Run the fresh chunk like a 0-parameter procedure,
+                        // under a closure over it that its frame's slot 1
+                        // keeps, as `run` does for a top level.
+                        let op = Closure { chunk: entry.clone(), free: Box::new([]) };
+                        self.stack.set(site.op_slot(), Value::Closure(Rc::new(op)));
+                        self.enter(site, 1, &entry)
                     }
                 }
             }
@@ -775,15 +791,12 @@ fn arity_error(who: impl std::fmt::Display, want: &str, got: usize) -> SchemeErr
     SchemeError::runtime(format!("{who}: expected {want} arguments, got {got}"))
 }
 
-/// The arity error of closure `c` called with `got` arguments. Its name is
-/// formatted here, never on a call whose arity matches.
-fn closure_arity_error(c: &Closure, got: usize) -> SchemeError {
+/// The arity error of a closure over `c` called with `got` arguments. Its
+/// name is formatted here, never on a call whose arity matches.
+fn closure_arity_error(c: &Chunk, got: usize) -> SchemeError {
     let want =
         if c.variadic { format!("at least {}", c.nparams - 1) } else { c.nparams.to_string() };
-    match c.name {
-        Some(name) => arity_error(name, &want, got),
-        None => arity_error("procedure", &want, got),
-    }
+    arity_error(c.name, &want, got)
 }
 
 /// Sanity check used by the primitive table: the VM assumes `PRIMITIVES`

@@ -311,3 +311,88 @@ fn strategies_report_expected_capture_costs() {
         "copy model pays O(depth) per capture (copy={copy}, segmented={seg})"
     );
 }
+
+// ---- code lives while something can still run it --------------------------
+//
+// A closure owns its chunk and every frame holds its closure in slot 1, a
+// top level's included; the code store only indexes chunks weakly. Each
+// program below makes the frames of a continuation the only owners of
+// some code, then runs that code.
+
+#[test]
+fn a_continuation_returns_into_a_procedure_redefined_since() {
+    for s in Strategy::ALL {
+        let mut e = engine(s);
+        e.eval("(define k #f) (define (f) (+ 100 (call/cc (lambda (c) (set! k c) 1))))").unwrap();
+        assert_eq!(e.eval_to_string("(f)").unwrap(), "101", "{s}");
+        e.eval("(define (f) 'redefined)").unwrap();
+        assert_eq!(e.eval_to_string("(k 5)").unwrap(), "105", "{s}");
+        assert_eq!(e.eval_to_string("(k 6)").unwrap(), "106", "{s}");
+        assert_eq!(e.eval_to_string("(f)").unwrap(), "redefined", "{s}");
+    }
+}
+
+#[test]
+fn a_continuation_reenters_eval_after_it_returned() {
+    for s in Strategy::ALL {
+        let mut e = engine(s);
+        e.eval("(define k #f) (define log '())").unwrap();
+        e.eval("(set! log (cons (eval '(+ 1 (call/cc (lambda (c) (set! k c) 1)))) log))").unwrap();
+        e.eval("(if (< (length log) 3) (k (* 10 (length log))))").unwrap();
+        e.eval("(if (< (length log) 3) (k (* 10 (length log))))").unwrap();
+        assert_eq!(e.eval_to_string("log").unwrap(), "(21 11 2)", "{s}");
+    }
+}
+
+#[test]
+fn stack_frames_name_a_procedure_redefined_since() {
+    for s in Strategy::ALL {
+        let mut e = engine(s);
+        e.eval(
+            "(define (probe) (stack-frames))
+             (define (outer) (set! outer #f) (cons 'in (probe)))",
+        )
+        .unwrap();
+        let frames = e.eval_to_string("(outer)").unwrap();
+        assert!(frames.starts_with("(in outer"), "{s}: {frames}");
+    }
+}
+
+#[test]
+fn freed_code_disassembles_to_a_note() {
+    for s in Strategy::ALL {
+        let mut e = engine(s);
+        e.eval("(define (f) 1)").unwrap();
+        let top = e.chunk_count() as u32 - 1;
+        assert_eq!(e.eval_to_string("(f)").unwrap(), "1", "{s}");
+        let note = e.disassemble(top);
+        assert_eq!(note.lines().count(), 1, "{s}: {note}");
+        assert!(note.contains("freed"), "{s}: {note}");
+        assert!(e.disassemble_last().contains("chunk \"toplevel\""), "{s}");
+        assert!(e.disassemble(top - 1).contains("chunk \"f\""), "{s}: `f` still owns its code");
+    }
+}
+
+#[test]
+fn runs_that_reinstate_start_the_next_at_the_segment_bottom() {
+    let mut e = engine(Strategy::Segmented);
+    e.eval("(+ 1 (call/cc (lambda (k) (k 1))))").unwrap();
+    let (free, segments) = (e.stack_stats().current_free_slots, e.metrics().segments_allocated);
+    for _ in 0..2000 {
+        assert_eq!(e.eval_to_string("(+ 1 (call/cc (lambda (k) (k 1))))").unwrap(), "2");
+    }
+    assert_eq!(e.stack_stats().current_free_slots, free);
+    assert_eq!(e.metrics().segments_allocated, segments);
+
+    let mut kit = segstack::control::Control::new(Strategy::Segmented).unwrap();
+    let mut job = || {
+        let mut job = kit.spawn_job("(+ 1 2)").unwrap();
+        let step = kit.step_job(&mut job, 1_000_000).unwrap();
+        assert!(matches!(step, segstack::control::Step::Done { .. }));
+        (kit.engine().stack_stats().current_free_slots, kit.engine().metrics().segments_allocated)
+    };
+    let first = job();
+    for _ in 0..2000 {
+        assert_eq!(job(), first);
+    }
+}
