@@ -15,8 +15,8 @@ use std::any::Any;
 use std::rc::Rc;
 
 use segstack_core::{
-    CodeAddr, Config, Continuation, ControlStack, FrameSizeTable, KontRepr, Metrics, ReturnAddress,
-    StackError, StackSlot, StackStats,
+    walker, CodeAddr, Config, Continuation, ControlStack, FrameSizeTable, KontRepr, Metrics,
+    ReturnAddress, StackError, StackSlot, StackStats,
 };
 
 /// A flushed block of frames: a copied stack image plus the usual record
@@ -323,34 +323,20 @@ impl<S: StackSlot> ControlStack<S> for CacheStack<S> {
 
     fn backtrace(&self, limit: usize) -> Vec<CodeAddr> {
         let mut out = Vec::new();
-        let mut image: Vec<S> = self.buf.clone();
-        let mut pos = self.fp;
-        let mut link = self.link.clone();
-        loop {
-            match image[pos].as_return_address() {
-                Some(ReturnAddress::Code(r)) => {
-                    out.push(r);
-                    if out.len() >= limit {
-                        return out;
-                    }
-                    pos -= self.code.displacement(r);
-                }
-                Some(ReturnAddress::Underflow) => {
-                    let Some(k) = link.take() else { return out };
-                    let Some(block) = k.repr().as_any().downcast_ref::<CacheKont<S>>() else {
-                        return out;
-                    };
-                    out.push(block.ra);
-                    if out.len() >= limit {
-                        return out;
-                    }
-                    pos = block.image.len() - self.code.displacement(block.ra);
-                    image = block.image.clone();
-                    link = block.link.clone();
-                }
-                _ => return out,
-            }
+        let mut at_base =
+            walker::walk_live(&self.buf, 0, self.fp, &*self.code).backtrace_into(&mut out, limit);
+        let mut link = self.link.as_ref();
+        // Below the underflow handler the walk goes on in the flushed block.
+        while at_base == Some(ReturnAddress::Underflow) {
+            let Some(block) = link.and_then(|k| k.repr().as_any().downcast_ref::<CacheKont<S>>())
+            else {
+                break;
+            };
+            at_base = walker::walk(&block.image, 0, block.image.len(), block.ra, &*self.code)
+                .backtrace_into(&mut out, limit);
+            link = block.link.as_ref();
         }
+        out
     }
 }
 

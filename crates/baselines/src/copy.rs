@@ -6,14 +6,14 @@
 //! the size of the stack is usually quite small, the cost of copying stack
 //! images makes continuation operations inordinately expensive" — and
 //! repeated captures of the same deep stack duplicate it wholesale (Danvy's
-//! observation, §6). Experiments E2/E5/E11 quantify exactly this.
+//! observation, §6). Experiments E2/E11 quantify exactly this.
 
 use std::any::Any;
 use std::rc::Rc;
 
 use segstack_core::{
-    CodeAddr, Config, Continuation, ControlStack, FrameSizeTable, KontRepr, Metrics, ReturnAddress,
-    StackError, StackSlot, StackStats,
+    walker, CodeAddr, Config, Continuation, ControlStack, FrameSizeTable, KontRepr, Metrics,
+    ReturnAddress, StackError, StackSlot, StackStats,
 };
 
 /// Continuation representation of the copy model: a full copy of the stack
@@ -257,16 +257,7 @@ impl<S: StackSlot> ControlStack<S> for CopyStack<S> {
     }
 
     fn backtrace(&self, limit: usize) -> Vec<CodeAddr> {
-        let mut out = Vec::new();
-        let mut pos = self.fp;
-        while let Some(ReturnAddress::Code(r)) = self.buf[pos].as_return_address() {
-            out.push(r);
-            if out.len() >= limit {
-                break;
-            }
-            pos -= self.code.displacement(r);
-        }
-        out
+        walker::walk_live(&self.buf, 0, self.fp, &*self.code).map(|f| f.ra).take(limit).collect()
     }
 }
 

@@ -1,10 +1,12 @@
-//! Heap-allocated activation records, shared by the heap and hybrid models.
+//! Heap-allocated activation records, shared by the heap, hybrid and
+//! incremental models, and the walks those models share: down a heap-frame
+//! chain, and over a stack whose base word returns into one.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use segstack_core::StackSlot;
+use segstack_core::{walker, CodeAddr, FrameSizeTable, Metrics, ReturnAddress, StackSlot};
 
 /// A heap-allocated activation record (paper Figure 1).
 ///
@@ -40,27 +42,69 @@ impl<S: StackSlot> HeapFrame<S> {
         slots[i] = v;
     }
 
+    /// The frames of the chain starting here, each followed by its caller.
+    pub fn chain(&self) -> impl Iterator<Item = &HeapFrame<S>> {
+        std::iter::successors(Some(self), |f| f.link.as_deref())
+    }
+
+    /// The return addresses down the chain from this frame: each frame's
+    /// slot 0, up to the initial frame, whose slot 0 holds the exit routine.
+    pub fn return_addresses(&self) -> impl Iterator<Item = CodeAddr> + '_ {
+        self.chain().map_while(|f| f.slots.borrow().first()?.as_return_address()?.code())
+    }
+
     /// Number of frames in the chain starting here.
-    pub fn chain_len(self: &Rc<Self>) -> usize {
-        let mut n = 0;
-        let mut cur = Some(self.clone());
-        while let Some(f) = cur {
-            n += 1;
-            cur = f.link.clone();
-        }
-        n
+    pub fn chain_len(&self) -> usize {
+        self.chain().count()
     }
 
     /// Total slots held by the chain starting here.
-    pub fn chain_slots(self: &Rc<Self>) -> usize {
-        let mut n = 0;
-        let mut cur = Some(self.clone());
-        while let Some(f) = cur {
-            n += f.slots.borrow().len();
-            cur = f.link.clone();
-        }
-        n
+    pub fn chain_slots(&self) -> usize {
+        self.chain().map(|f| f.slots.borrow().len()).sum()
     }
+}
+
+/// Backtrace of a stack (based at 0, live frame at `fp`) whose base word
+/// either is the exit routine or returns into the heap-frame chain `deep`,
+/// as on the hybrid and incremental stacks.
+pub fn stack_backtrace<S: StackSlot>(
+    buf: &[S],
+    fp: usize,
+    code: &dyn FrameSizeTable,
+    deep: Option<&HeapFrame<S>>,
+    limit: usize,
+) -> Vec<CodeAddr> {
+    let mut out = Vec::new();
+    if let Some(ReturnAddress::Code(r)) =
+        walker::walk_live(buf, 0, fp, code).backtrace_into(&mut out, limit)
+    {
+        out.push(r);
+        let room = limit - out.len();
+        out.extend(deep.into_iter().flat_map(HeapFrame::return_addresses).take(room));
+    }
+    out
+}
+
+/// Moves every stack frame below the live frame at `fp` into the heap, on
+/// top of the chain `deep`, and makes the new head (the live frame's
+/// caller) the chain `deep` and the result. The walker finds the frames;
+/// they are *moved*, never copied back, which is the one-copy-only property
+/// of the hybrid model (§6).
+pub fn migrate_below<S: StackSlot>(
+    buf: &[S],
+    fp: usize,
+    code: &dyn FrameSizeTable,
+    deep: &mut Option<Rc<HeapFrame<S>>>,
+    metrics: &mut Metrics,
+) -> Rc<HeapFrame<S>> {
+    let frames: Vec<_> = walker::walk_live(buf, 0, fp, code).collect();
+    for f in frames.iter().rev() {
+        metrics.heap_frames_allocated += 1;
+        metrics.heap_slots_allocated += f.size() as u64;
+        metrics.slots_copied += f.size() as u64;
+        *deep = Some(HeapFrame::new(deep.take(), buf[f.base..f.top].to_vec()));
+    }
+    deep.clone().expect("at least the base frame migrated")
 }
 
 impl<S: StackSlot> Drop for HeapFrame<S> {

@@ -249,19 +249,7 @@ impl<S: StackSlot> ControlStack<S> for HeapStack<S> {
     }
 
     fn backtrace(&self, limit: usize) -> Vec<CodeAddr> {
-        let mut out = Vec::new();
-        let mut f = Some(self.cur.clone());
-        while let Some(frame) = f {
-            match frame.get(0).as_return_address() {
-                Some(ReturnAddress::Code(r)) => out.push(r),
-                _ => break,
-            }
-            if out.len() >= limit {
-                break;
-            }
-            f = frame.link.clone();
-        }
-        out
+        self.cur.return_addresses().take(limit).collect()
     }
 }
 

@@ -18,7 +18,7 @@ use segstack_core::{
     StackError, StackSlot, StackStats,
 };
 
-use crate::frames::HeapFrame;
+use crate::frames::{self, HeapFrame};
 
 /// Continuation representation of the hybrid model: the head of the heap
 /// frame list plus the resume address. Because frames were *moved* (not
@@ -126,43 +126,13 @@ impl<S: StackSlot> HybridStack<S> {
         self.buf.len() - self.cfg.esp_reserve()
     }
 
-    /// Migrates every stack frame below `fp` into the heap chain, on top of
-    /// the current `deep` chain. `live_ra` is the live frame's return
-    /// address (`buf[fp]`). Returns the new chain head (the live frame's
-    /// caller). The migrated frames are *moved*: this is the one-copy-only
-    /// property of the hybrid model.
-    fn migrate_below(&mut self, live_ra: CodeAddr) -> Rc<HeapFrame<S>> {
+    /// Migrates every stack frame below `fp` into the heap chain beneath
+    /// the stack, and returns its new head (the live frame's caller).
+    fn migrate_below(&mut self) -> Rc<HeapFrame<S>> {
         let Mode::Stack { deep } = &mut self.mode else {
             unreachable!("migration only happens in stack mode")
         };
-        // Collect frame extents top-down by walking displacement words.
-        let mut extents = Vec::new();
-        let mut top = self.fp;
-        let mut ra = live_ra;
-        loop {
-            let d = self.code.displacement(ra);
-            let b = top - d;
-            extents.push((b, top));
-            if b == 0 {
-                break;
-            }
-            ra = self.buf[b]
-                .as_return_address()
-                .expect("frame base must hold a return address")
-                .code()
-                .expect("hybrid stack frames above the base hold code return addresses");
-            top = b;
-        }
-        // Build heap frames bottom-up.
-        let mut parent = deep.take();
-        for &(b, t) in extents.iter().rev() {
-            let slots = self.buf[b..t].to_vec();
-            self.metrics.heap_frames_allocated += 1;
-            self.metrics.heap_slots_allocated += (t - b) as u64;
-            self.metrics.slots_copied += (t - b) as u64;
-            parent = Some(HeapFrame::new(parent, slots));
-        }
-        parent.expect("at least the base frame was migrated")
+        frames::migrate_below(&self.buf, self.fp, &*self.code, deep, &mut self.metrics)
     }
 
     /// Ensures the heap frame we are about to execute in is privately
@@ -248,16 +218,7 @@ impl<S: StackSlot> ControlStack<S> for HybridStack<S> {
                         // the staged partial frame) to the base.
                         self.metrics.overflows += 1;
                         if self.fp > 0 {
-                            let live_ra = self.buf[self.fp]
-                                .as_return_address()
-                                .expect("frame base must hold a return address")
-                                .code()
-                                .expect("a frame above the stack base has a code return address");
-                            let head = self.migrate_below(live_ra);
-                            match &mut self.mode {
-                                Mode::Stack { deep } => *deep = Some(head),
-                                Mode::Heap(_) => unreachable!(),
-                            }
+                            self.migrate_below();
                             self.slide_live_frame(d + 1 + nargs);
                         }
                         let new_fp = self.fp + d;
@@ -381,11 +342,7 @@ impl<S: StackSlot> ControlStack<S> for HybridStack<S> {
                 }
                 // Migrate the frames below the live frame into the heap;
                 // they are never copied back.
-                let head = self.migrate_below(live_ra);
-                match &mut self.mode {
-                    Mode::Stack { deep } => *deep = Some(head.clone()),
-                    Mode::Heap(_) => unreachable!(),
-                }
+                let head = self.migrate_below();
                 self.slide_live_frame(self.cfg.frame_bound());
                 self.metrics.stack_records_allocated += 1;
                 Continuation::from_repr(Rc::new(HybridKont { frame: head, ra: live_ra }))
@@ -461,37 +418,12 @@ impl<S: StackSlot> ControlStack<S> for HybridStack<S> {
     }
 
     fn backtrace(&self, limit: usize) -> Vec<CodeAddr> {
-        let mut out = Vec::new();
-        let mut heap_part: Option<Rc<HeapFrame<S>>> = None;
         match &self.mode {
             Mode::Stack { deep } => {
-                let mut pos = self.fp;
-                while let Some(ReturnAddress::Code(r)) = self.buf[pos].as_return_address() {
-                    out.push(r);
-                    if out.len() >= limit {
-                        return out;
-                    }
-                    if pos == 0 {
-                        heap_part = deep.clone();
-                        break;
-                    }
-                    pos -= self.code.displacement(r);
-                }
+                frames::stack_backtrace(&self.buf, self.fp, &*self.code, deep.as_deref(), limit)
             }
-            Mode::Heap(h) => heap_part = Some(h.clone()),
+            Mode::Heap(h) => h.return_addresses().take(limit).collect(),
         }
-        let mut f = heap_part;
-        while let Some(frame) = f {
-            if out.len() >= limit {
-                break;
-            }
-            match frame.get(0).as_return_address() {
-                Some(ReturnAddress::Code(r)) => out.push(r),
-                _ => break,
-            }
-            f = frame.link.clone();
-        }
-        out
     }
 }
 

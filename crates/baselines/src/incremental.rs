@@ -18,7 +18,7 @@ use segstack_core::{
     StackError, StackSlot, StackStats,
 };
 
-use crate::frames::HeapFrame;
+use crate::frames::{self, HeapFrame};
 
 /// Continuation representation: the head of the migrated frame list plus
 /// the resume address (shared with any number of captures).
@@ -101,35 +101,10 @@ impl<S: StackSlot> IncrementalStack<S> {
         self.buf.len() - self.cfg.esp_reserve()
     }
 
-    /// Migrates every stack frame below `fp` into the heap chain; `live_ra`
-    /// is `buf[fp]`. Returns the new chain head.
-    fn migrate_below(&mut self, live_ra: CodeAddr) -> Rc<HeapFrame<S>> {
-        let mut extents = Vec::new();
-        let mut top = self.fp;
-        let mut ra = live_ra;
-        loop {
-            let d = self.code.displacement(ra);
-            let b = top - d;
-            extents.push((b, top));
-            if b == 0 {
-                break;
-            }
-            ra = self.buf[b]
-                .as_return_address()
-                .expect("frame base must hold a return address")
-                .code()
-                .expect("frames above the stack base hold code return addresses");
-            top = b;
-        }
-        let mut parent = self.deep.take();
-        for &(b, t) in extents.iter().rev() {
-            let slots = self.buf[b..t].to_vec();
-            self.metrics.heap_frames_allocated += 1;
-            self.metrics.heap_slots_allocated += (t - b) as u64;
-            self.metrics.slots_copied += (t - b) as u64;
-            parent = Some(HeapFrame::new(parent, slots));
-        }
-        parent.expect("at least the base frame migrated")
+    /// Migrates every stack frame below `fp` into the heap chain beneath
+    /// the stack, and returns its new head.
+    fn migrate_below(&mut self) -> Rc<HeapFrame<S>> {
+        frames::migrate_below(&self.buf, self.fp, &*self.code, &mut self.deep, &mut self.metrics)
     }
 
     /// Copies heap frame `h` onto the stack base and makes it current: the
@@ -182,13 +157,7 @@ impl<S: StackSlot> ControlStack<S> for IncrementalStack<S> {
                 // slide the live frame (plus staged partial frame) down.
                 self.metrics.overflows += 1;
                 if self.fp > 0 {
-                    let live_ra = self.buf[self.fp]
-                        .as_return_address()
-                        .expect("frame base must hold a return address")
-                        .code()
-                        .expect("a frame above the stack base has a code return address");
-                    let head = self.migrate_below(live_ra);
-                    self.deep = Some(head);
+                    self.migrate_below();
                     let width = (d + 1 + nargs).min(self.buf.len() - self.fp);
                     for i in 0..width {
                         self.buf[i] = self.buf[self.fp + i].clone();
@@ -257,8 +226,7 @@ impl<S: StackSlot> ControlStack<S> for IncrementalStack<S> {
             self.metrics.stack_records_allocated += 1;
             return Continuation::from_repr(Rc::new(IncKont { frame, ra: live_ra }));
         }
-        let head = self.migrate_below(live_ra);
-        self.deep = Some(head.clone());
+        let head = self.migrate_below();
         // Slide the live frame to the base (its extent is unknown without a
         // stack pointer; one frame bound always covers it).
         let width = self.cfg.frame_bound().min(self.buf.len() - self.fp);
@@ -330,35 +298,7 @@ impl<S: StackSlot> ControlStack<S> for IncrementalStack<S> {
     }
 
     fn backtrace(&self, limit: usize) -> Vec<CodeAddr> {
-        let mut out = Vec::new();
-        let mut pos = self.fp;
-        loop {
-            match self.buf[pos].as_return_address() {
-                Some(ReturnAddress::Code(r)) => {
-                    out.push(r);
-                    if out.len() >= limit {
-                        return out;
-                    }
-                    if pos == 0 {
-                        break;
-                    }
-                    pos -= self.code.displacement(r);
-                }
-                _ => return out,
-            }
-        }
-        let mut f = self.deep.clone();
-        while let Some(frame) = f {
-            if out.len() >= limit {
-                break;
-            }
-            match frame.get(0).as_return_address() {
-                Some(ReturnAddress::Code(r)) => out.push(r),
-                _ => break,
-            }
-            f = frame.link.clone();
-        }
-        out
+        frames::stack_backtrace(&self.buf, self.fp, &*self.code, self.deep.as_deref(), limit)
     }
 }
 

@@ -1,7 +1,8 @@
 //! Prints every experiment table (or the ones named on the command line).
 //!
 //! Run with `cargo run -p segstack-bench --release --bin harness`.
-//! Pass experiment ids (`e01`..`e14`, `e16`..`e19`, `a1`..`a3`) to run a
+//! Pass experiment ids (`e01`..`e04`, `e07`..`e14`, `e16`..`e18`,
+//! `a1`..`a3`) to run a
 //! subset; an unknown id exits 2 with the list of known ones.
 //! `--json PATH` additionally writes the selected tables as one JSON
 //! document stamped with the commit and host (the committed `BENCH_*.json`

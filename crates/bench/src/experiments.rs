@@ -232,9 +232,9 @@ pub fn e02_capture_depth() -> Table {
         "E2: continuation capture cost vs. stack depth",
         "naive copying makes capture O(stack depth); segmented/heap/hybrid capture is \
          O(1) (Fig 2 vs Fig 5)",
-        &["depth", "strategy", "ns/capture-cycle", "slots copied/cycle"],
+        &["depth", "strategy", "ns/capture-cycle", "slots copied/cycle", "heap slots/cycle"],
     );
-    for depth in [10u32, 100, 500, 2000] {
+    for depth in [10u32, 100, 500, 1000, 2000] {
         let runs =
             on_strategies(&Strategy::ALL, &cfg_default(), &w::capture_at_depth(depth, 2_000));
         for (s, r) in Strategy::ALL.into_iter().zip(&runs) {
@@ -244,6 +244,7 @@ pub fn e02_capture_depth() -> Table {
                 name(s),
                 r.per(caps, "ns/capture-cycle").into(),
                 per_op(r.counters.slots_copied, caps),
+                per_op(r.counters.heap_slots_allocated, caps),
             ]);
         }
     }
@@ -274,15 +275,15 @@ fn reinstate_latency(depth: u32, rounds: u32) -> String {
 /// E3 — reinstatement cost as a function of continuation size (Fig 6-7).
 pub fn e03_reinstate_size() -> Table {
     let mut t = Table::new(
-        "E3: reinstatement cost vs. continuation size (segmented, copy bound 128)",
+        "E3: reinstatement cost vs. continuation size (all strategies, copy bound 128)",
         "reinstatement copies at most the copy bound; larger saved segments are split \
-         first, so cost is flat in continuation size (§4, Fig 6-7)",
+         first, so cost is flat in continuation size; it is O(n) for copy, a block \
+         refill for cache and O(1) for heap/hybrid (§4, §6, Fig 6-7)",
         &["depth", "strategy", "ns/reinstate", "slots copied/reinstate", "splits"],
     );
-    let strategies = [Strategy::Segmented, Strategy::Copy, Strategy::Heap, Strategy::Incremental];
     for depth in [50u32, 200, 1000, 4000] {
-        let runs = on_strategies(&strategies, &cfg_default(), &reinstate_latency(depth, 2_000));
-        for (s, r) in strategies.into_iter().zip(&runs) {
+        let runs = on_strategies(&Strategy::ALL, &cfg_default(), &reinstate_latency(depth, 2_000));
+        for (s, r) in Strategy::ALL.into_iter().zip(&runs) {
             let n = r.counters.reinstatements;
             t.row(vec![
                 depth.into(),
@@ -350,43 +351,6 @@ pub fn e04_walk() -> Table {
     t
 }
 
-/// E5 — capture microbenchmark across all strategies at fixed depth.
-pub fn e05_capture_all() -> Table {
-    let mut t = Table::new(
-        "E5: capture at depth 1000, all strategies",
-        "capture is O(1) for segmented/heap/hybrid, O(n) for copy, and a cache flush \
-         for the stack cache (Fig 5, §2)",
-        &["strategy", "ns/capture", "slots copied/capture", "heap slots/capture"],
-    );
-    let runs = on_strategies(&Strategy::ALL, &cfg_default(), &w::capture_at_depth(1000, 2000));
-    for (s, r) in Strategy::ALL.into_iter().zip(&runs) {
-        let caps = r.counters.captures;
-        t.row(vec![
-            name(s),
-            r.per(caps, "ns/capture").into(),
-            per_op(r.counters.slots_copied, caps),
-            per_op(r.counters.heap_slots_allocated, caps),
-        ]);
-    }
-    t
-}
-
-/// E6 — reinstatement microbenchmark across all strategies.
-pub fn e06_reinstate_all() -> Table {
-    let mut t = Table::new(
-        "E6: reinstate a depth-1000 continuation, all strategies",
-        "reinstatement is bounded for segmented (copy bound), O(n) for copy, block \
-         refill for cache, O(1) for heap/hybrid (Fig 6, §6)",
-        &["strategy", "ns/reinstate", "slots copied/reinstate"],
-    );
-    let runs = on_strategies(&Strategy::ALL, &cfg_default(), &reinstate_latency(1000, 2000));
-    for (s, r) in Strategy::ALL.into_iter().zip(&runs) {
-        let n = r.counters.reinstatements;
-        t.row(vec![name(s), r.per(n, "ns/reinstate").into(), per_op(r.counters.slots_copied, n)]);
-    }
-    t
-}
-
 /// E7 — the copy-bound parameter sweep (§4: "determined only by
 /// experimentation").
 pub fn e07_copybound_sweep() -> Table {
@@ -438,37 +402,61 @@ fn on_policies(policies: &[CheckPolicy], src: &str) -> Vec<Sampled> {
     sample(policies.len(), |v| timed_eval(&mut engine(Strategy::Segmented, &cfg, policies[v]), src))
 }
 
-/// E8 — overflow-check cost and elision (Fig 8, §5).
+/// E8 — overflow-check cost and elision on the superinstruction and
+/// inline-cache VM, priced against the unsound `never` floor (Fig 8, §5).
+///
+/// `never` compiles every call check-free, which is only sound here
+/// because the segment outruns the recursion; the gap between a sound
+/// policy and `never` is the residual cost of overflow safety.
 pub fn e08_overflow_checks() -> Table {
     let mut t = Table::new(
-        "E8: overflow-check policies (segmented)",
-        "explicit checks are one register compare per call; leaves and tail loops \
-         never check (Fig 8, §5)",
-        &["workload", "policy", "time", "checks executed", "checks elided"],
+        "E8: overflow-check policies (segmented) vs the unchecked floor",
+        "explicit checks are one register compare per call, and leaves and tail loops \
+         never check; with superinstructions and monomorphic inline caches shrinking \
+         the per-call baseline every policy shares, a checked call costs no more than \
+         the unchecked floor (Fig 8, §5)",
+        &[
+            "workload",
+            "policy",
+            "time",
+            "vs never",
+            "checks executed",
+            "checks elided",
+            "ic hits",
+            "ic misses",
+        ],
     );
-    let policies = [CheckPolicy::Always, CheckPolicy::Elide, CheckPolicy::Never];
+    let policies = [CheckPolicy::Never, CheckPolicy::Always, CheckPolicy::Elide];
     for (workload, src) in [
         ("fib 22", w::fib(22)),
         ("tak 16 10 4", w::tak(16, 10, 4)),
         ("tail-loop 300k", w::tail_loop(300_000)),
         ("leaf-heavy sort 600", w::sort(600)),
         ("lcg-let-loop 300k", w::lcg_let_loop(300_000)),
+        ("nested-helper 200k", w::nested_helper(200_000)),
     ] {
-        for (label, r) in
-            ["always", "elide", "never"].into_iter().zip(&on_policies(&policies, &src))
-        {
+        let runs = on_policies(&policies, &src);
+        for (v, label) in [(1, "always"), (2, "elide"), (0, "never")] {
+            let (r, m) = (&runs[v], &runs[v].counters);
             t.row(vec![
                 workload.into(),
                 label.into(),
                 r.time().into(),
-                r.counters.checks_executed.into(),
-                r.counters.checks_elided.into(),
+                if v == 0 { "(floor)".into() } else { r.ratio().into() },
+                m.checks_executed.into(),
+                m.checks_elided.into(),
+                m.ic_hits.into(),
+                m.ic_misses.into(),
             ]);
         }
     }
     t.note(
         "primitive applications never push frames, so they are check-free leaf \
             calls by construction; tail calls never check in any policy",
+    );
+    t.note(
+        "lcg-let-loop and nested-helper are helper chains whose non-leaf calls \
+            keep their checks under elide",
     );
     t
 }
@@ -906,39 +894,80 @@ pub fn a2_segment_size() -> Table {
     t
 }
 
-/// A3 — ablation: segment pooling on vs. off.
+/// `sum`'s recursion depth that overflows a default-size segment once.
+const SUM_DEPTH_DEFAULT_SEGMENT: u32 = 5000;
+
+/// A3 — ablation: segment pooling on vs. off, where a fresh segment is
+/// cheap (512 slots) and where it is dear (the default 16,384 slots).
 pub fn a3_pooling() -> Table {
     let mut t = Table::new(
         "A3 (ablation): segment reuse pool on vs. off",
         "retired segments are pooled so steady-state overflow/underflow cycles do \
          not thrash the allocator (implementation choice; the paper allocates \
          segments from the heap)",
-        &["pool", "workload", "time", "fresh segments", "reused segments"],
+        &[
+            "segment slots",
+            "workload",
+            "pool",
+            "time/iteration",
+            "fresh segments",
+            "reused segments",
+        ],
     );
     let pools = [0usize, 4];
-    let cfgs: Vec<Config> = pools
-        .iter()
-        .map(|&pool| {
-            Config::builder()
-                .segment_slots(512)
-                .frame_bound(48)
-                .copy_bound(32)
-                .pool_segments(pool)
-                .build()
-                .unwrap()
-        })
-        .collect();
-    let src = "(define (sum n) (if (= n 0) 0 (+ n (sum (- n 1)))))
-               (do ((i 0 (+ i 1))) ((= i 200)) (sum 100))";
-    for (pool, r) in pools.into_iter().zip(&on_configs(&cfgs, src)) {
+    let pool_cell = |pool: usize| -> Cell {
+        if pool == 0 {
+            "off".into()
+        } else {
+            format!("{pool} segments").into()
+        }
+    };
+    let iterations = 200u64;
+    // Each iteration's recursion crosses one segment boundary and back.
+    for (slots, depth) in [(512usize, 100u32), (16 * 1024, SUM_DEPTH_DEFAULT_SEGMENT)] {
+        let cfgs: Vec<Config> = pools
+            .iter()
+            .map(|&pool| {
+                let b = Config::builder().segment_slots(slots).pool_segments(pool);
+                let b = if slots == 512 { b.frame_bound(48).copy_bound(32) } else { b };
+                b.build().unwrap()
+            })
+            .collect();
+        let src = format!(
+            "(define (sum n) (if (= n 0) 0 (+ n (sum (- n 1)))))
+             (do ((i 0 (+ i 1))) ((= i {iterations})) (sum {depth}))"
+        );
+        for (pool, r) in pools.into_iter().zip(&on_configs(&cfgs, &src)) {
+            t.row(vec![
+                slots.into(),
+                format!("{iterations} x (sum {depth})").into(),
+                pool_cell(pool),
+                r.per(iterations, "ns/iteration").into(),
+                r.counters.segments_allocated.into(),
+                r.counters.segments_reused.into(),
+            ]);
+        }
+    }
+    // The resume segbench's `core.sim.relink_ns` times: the reset that
+    // detaches from the sealed tower takes a new segment every round.
+    let cfgs: Vec<Config> =
+        pools.iter().map(|&pool| Config::builder().pool_segments(pool).build().unwrap()).collect();
+    let rounds = 400;
+    let runs = sample(pools.len(), |v| reinstate_rounds(&cfgs[v], 1000, rounds, true));
+    for (pool, r) in pools.into_iter().zip(&runs) {
         t.row(vec![
-            if pool == 0 { "off".into() } else { format!("{pool} segments").into() },
-            "200 x (sum 100)".into(),
-            r.time().into(),
+            Config::default().segment_slots().into(),
+            "one-shot resume of a 1000-frame tower".into(),
+            pool_cell(pool),
+            r.per(u64::from(rounds), "ns/iteration").into(),
             r.counters.segments_allocated.into(),
             r.counters.segments_reused.into(),
         ]);
     }
+    t.note(
+        "a resume round seals the tower with a one-shot capture, resets to an \
+            empty stack and relinks the tower; the reset takes a fresh segment",
+    );
     t
 }
 
@@ -1011,50 +1040,6 @@ pub fn e18_trace_overhead() -> Table {
     t
 }
 
-/// E19 — the check policies on the superinstruction/inline-cache VM,
-/// priced against the unsound `never` floor (Fig 8, §5).
-///
-/// `never` compiles every call check-free, which is only sound here
-/// because the segment outruns the recursion; the gap between the best
-/// sound policy and `never` is the residual cost of overflow safety.
-pub fn e19_check_policies() -> Table {
-    let mut t = Table::new(
-        "E19: check policies on the fused-dispatch VM vs the unchecked floor",
-        "with superinstructions and monomorphic inline caches shrinking the \
-         per-call baseline every policy shares, a checked call costs no more \
-         than the unchecked floor (Fig 8, §5)",
-        &["workload", "policy", "time", "vs never", "checks executed", "ic hits", "ic misses"],
-    );
-    let policies = [CheckPolicy::Never, CheckPolicy::Always, CheckPolicy::Elide];
-    for (workload, src) in [
-        ("fib 22", w::fib(22)),
-        ("tak 16 10 4", w::tak(16, 10, 4)),
-        ("lcg-let-loop 300k", w::lcg_let_loop(300_000)),
-        ("leaf-heavy sort 600", w::sort(600)),
-        ("nested-helper 200k", w::nested_helper(200_000)),
-    ] {
-        let runs = on_policies(&policies, &src);
-        for (v, label) in [(1, "always"), (2, "elide"), (0, "never")] {
-            let (r, m) = (&runs[v], &runs[v].counters);
-            t.row(vec![
-                workload.into(),
-                label.into(),
-                r.time().into(),
-                if v == 0 { "(floor)".into() } else { r.ratio().into() },
-                m.checks_executed.into(),
-                m.ic_hits.into(),
-                m.ic_misses.into(),
-            ]);
-        }
-    }
-    t.note(
-        "lcg-let-loop and nested-helper are helper chains whose non-leaf calls \
-            keep their checks under elide; the checks they execute cost no \
-            measurable time over the floor",
-    );
-    t
-}
-
 /// The harness `--trace-out` body: a canonical continuation-heavy run on
 /// a traced segmented engine (one-shot coroutine switches past a segment
 /// boundary, then the ctak torture test), drained as one core timeline.
@@ -1079,8 +1064,6 @@ pub fn all() -> Vec<Experiment> {
         ("e02", e02_capture_depth),
         ("e03", e03_reinstate_size),
         ("e04", e04_walk),
-        ("e05", e05_capture_all),
-        ("e06", e06_reinstate_all),
         ("e07", e07_copybound_sweep),
         ("e08", e08_overflow_checks),
         ("e09", e09_bouncing),
@@ -1092,7 +1075,6 @@ pub fn all() -> Vec<Experiment> {
         ("e16", e16_pingpong),
         ("e17", e17_relink_depth),
         ("e18", e18_trace_overhead),
-        ("e19", e19_check_policies),
         ("a1", a1_tail_rule),
         ("a2", a2_segment_size),
         ("a3", a3_pooling),
@@ -1207,8 +1189,8 @@ mod tests {
         let ids = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let picked = select(&ids(&["a1", "e02"])).unwrap();
         assert_eq!(picked.iter().map(|(id, _)| *id).collect::<Vec<_>>(), ["e02", "a1"]);
-        assert_eq!(select(&[]).unwrap().len(), 21);
-        for bad in [&["e14", "bogus"][..], &["e15"], &["all"]] {
+        assert_eq!(select(&[]).unwrap().len(), 18);
+        for bad in [&["e14", "bogus"][..], &["e05"], &["e19"], &["all"]] {
             let err = select(&ids(bad)).expect_err("unknown id is an error");
             assert!(err.contains(bad[bad.len() - 1]), "{err}");
             assert!(err.contains("e01") && err.contains("a3"), "{err}");

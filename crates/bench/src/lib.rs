@@ -1,7 +1,7 @@
 //! # segstack-bench
 //!
 //! The benchmark harness reproducing every experiment of *Representing
-//! Control in the Presence of First-Class Continuations*: E1–E14, E16–E19
+//! Control in the Presence of First-Class Continuations*: E1–E14, E16–E18
 //! and the ablations A1–A3. DESIGN.md §4 maps E1–E14 and A1–A3 to the paper's
 //! figures and claims; EXPERIMENTS.md records the measured shape of each.
 //!

@@ -155,7 +155,7 @@ pub fn generator_drain(width: u32, rounds: u32) -> String {
 }
 
 /// Captures one continuation at recursion depth `depth`, discarding it,
-/// `rounds` times — the capture-cost probe for E2/E5.
+/// `rounds` times — the capture-cost probe for E2.
 pub fn capture_at_depth(depth: u32, rounds: u32) -> String {
     format!(
         "(define (grab i)
@@ -166,7 +166,7 @@ pub fn capture_at_depth(depth: u32, rounds: u32) -> String {
 }
 
 /// Captures once at depth `depth` and reinstates the continuation
-/// `rounds` times — the reinstatement-cost probe for E3/E6.
+/// `rounds` times — the reinstatement-cost probe for E3.
 pub fn reinstate_at_depth(depth: u32, rounds: u32) -> String {
     format!(
         "(define k #f)
@@ -217,7 +217,7 @@ pub fn pingpong(cap: &str, spacer: u32, rounds: u32) -> String {
 
 /// A tail loop whose body is a `let`-shaped LCG step: every iteration makes
 /// one checked non-tail call to `step`, whose `let` body only calls
-/// primitives (E8, E19).
+/// primitives (E8).
 pub fn lcg_let_loop(n: u32) -> String {
     format!(
         "(define (step s)
@@ -231,7 +231,7 @@ pub fn lcg_let_loop(n: u32) -> String {
 /// A bounded helper chain driven from a tail loop: every iteration makes a
 /// non-tail call to `sumsq`, which makes two non-tail calls to `sq`. These
 /// calls go through globals rather than direct lambda applications, so the
-/// paper's leaf elision keeps all three checks (E19).
+/// paper's leaf elision keeps all three checks (E8).
 pub fn nested_helper(n: u32) -> String {
     format!(
         "(define (sq x) (* x x))

@@ -12,9 +12,13 @@
 //!
 //! Compiled code is owned by the closures, chunks and frames that can run
 //! it, so an evaluation or a job that is over leaves none of it behind.
+//! The names the expander makes up for a unit's locals are reused by the
+//! next unit, so the symbol interner does not grow with every eval.
 //!
-//! Live heap bytes and allocations are counted by this binary's global
-//! allocator. The file holds a single `#[test]` so that no other test
+//! A stack walk reads the stack in place: a backtrace copies no buffer.
+//!
+//! Live heap bytes, allocations and allocated bytes are counted by this
+//! binary's global allocator. The file holds a single `#[test]` so that no other test
 //! thread allocates while it measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -23,13 +27,15 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use segstack_baselines::Strategy;
 use segstack_bench::workloads as w;
 use segstack_control::{Control, Step};
-use segstack_scheme::Engine;
+use segstack_scheme::{Engine, Symbol};
 
 static LIVE: AtomicI64 = AtomicI64::new(0);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED: AtomicU64 = AtomicU64::new(0);
 
 /// The system allocator, tracking the bytes currently allocated and
-/// counting allocations (reallocations included).
+/// counting allocations and the bytes they asked for (reallocations
+/// included).
 struct Live;
 
 // SAFETY: every method forwards to `System` with the caller's own
@@ -38,6 +44,7 @@ unsafe impl GlobalAlloc for Live {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -45,6 +52,7 @@ unsafe impl GlobalAlloc for Live {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim; the caller upholds `alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -52,6 +60,7 @@ unsafe impl GlobalAlloc for Live {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim; the caller upholds `realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -89,6 +98,8 @@ fn warm_engines_retain_no_garbage() {
     captures_retain_no_dead_segments(&mut report);
     letrec_procedures_make_no_cycles(&mut report);
     finished_code_is_freed(&mut report);
+    expansions_reuse_their_names(&mut report);
+    backtraces_copy_no_buffer(&mut report);
     for (line, _) in &report {
         println!("{line}");
     }
@@ -238,5 +249,47 @@ fn finished_code_is_freed(report: &mut Report) {
     report.push((
         format!("one-quantum tak 12 8 4 job, segmented: {segmented} B/job (not gated)"),
         true,
+    ));
+}
+
+/// `or`, `case` and `do` bind locals under names the expander makes up;
+/// every eval compiles a new unit, which reuses the last unit's names. The
+/// interner's tables grow by doubling, so the bytes a run keeps depend on
+/// where a doubling falls; the count of names it gained is exact.
+fn expansions_reuse_their_names(report: &mut Report) {
+    const RUN_BOUND: i64 = 16;
+    let evaluated = [
+        ("eval of an or", "(or #f 1)", "1"),
+        ("eval of a case", "(case 2 ((1) 'a) ((2) 'b))", "b"),
+        ("eval of a three-step do", "(do ((i 0 (+ i 1))) ((= i 3) i))", "3"),
+    ];
+    let mut engine = Engine::new().expect("default engine");
+    for (name, src, expect) in evaluated {
+        let mut eval = || assert_eq!(engine.eval(src).expect("runs").to_string(), expect, "{src}");
+        eval();
+        // A fresh name's id is the count of names interned before it.
+        let interned = |when: &str| Symbol::intern(&format!("{name} probe {when}")).id();
+        let before = interned("before");
+        let per_run = retained_per_run(3, 200, eval);
+        let names = interned("after") - before - 1;
+        report.push((
+            format!("{name}: {per_run} B/run (bound {RUN_BOUND}), {names} new names (bound 0)"),
+            per_run <= RUN_BOUND && names == 0,
+        ));
+    }
+}
+
+/// The stack cache's backtrace once cloned its whole cache (16,384 slots)
+/// and every flushed block it passed; the walker reads them in place.
+fn backtraces_copy_no_buffer(report: &mut Report) {
+    const WALK_BYTES: u64 = 1024;
+    let mut engine = Engine::builder().strategy(Strategy::Cache).build().expect("cache engine");
+    assert_eq!(engine.eval(&w::fib(15)).expect("runs").to_string(), "610");
+    let before = ALLOCATED.load(Ordering::Relaxed);
+    engine.backtrace(16);
+    let bytes = ALLOCATED.load(Ordering::Relaxed) - before;
+    report.push((
+        format!("backtrace(16) on a warm cache engine: {bytes} B allocated (bound {WALK_BYTES})"),
+        bytes < WALK_BYTES,
     ));
 }

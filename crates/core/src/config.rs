@@ -116,7 +116,6 @@ impl Default for Config {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ConfigBuilder {
-    cfg: Option<Config>,
     segment_slots: Option<usize>,
     copy_bound: Option<usize>,
     frame_bound: Option<usize>,
@@ -172,7 +171,7 @@ impl ConfigBuilder {
     /// single maximal frame plus the two-frame `esp` reserve — such a
     /// configuration could never run a program.
     pub fn build(self) -> Result<Config, StackError> {
-        let base = self.cfg.unwrap_or_default();
+        let base = Config::default();
         let cfg = Config {
             segment_slots: self.segment_slots.unwrap_or(base.segment_slots),
             copy_bound: self.copy_bound.unwrap_or(base.copy_bound),

@@ -23,7 +23,7 @@ use crate::record::{Continuation, KontRepr};
 use crate::segment::{drain_releases, release_later, release_slots, Buffer, SegmentAllocator};
 use crate::slot::StackSlot;
 use crate::traits::{ControlStack, StackStats};
-use crate::walker::split_point;
+use crate::walker::{self, split_point};
 
 /// Placeholder return address stored in size-zero ablation records; never
 /// read (reinstatement skips through empty records before touching `ra`).
@@ -1061,44 +1061,22 @@ impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
 
     fn backtrace(&self, limit: usize) -> Vec<CodeAddr> {
         let mut out = Vec::new();
-        let mut buf = self.buf.clone();
-        let mut pos = self.fp;
+        let mut at_base = walker::walk_live(&self.buf.borrow(), self.base, self.fp, &*self.code)
+            .backtrace_into(&mut out, limit);
         let mut link = self.link.clone();
-        loop {
-            let ra = buf.borrow()[pos].as_return_address().expect("frame base holds an address");
-            match ra {
-                ReturnAddress::Code(r) => {
-                    out.push(r);
-                    if out.len() >= limit {
-                        return out;
-                    }
-                    pos -= self.code.displacement(r);
-                }
-                ReturnAddress::Underflow => {
-                    // Continue the walk inside the linked sealed segment.
-                    let Some(k) = link.take() else { return out };
-                    let Some(sk) = k.repr().as_any().downcast_ref::<SegKont<S>>() else {
-                        return out;
-                    };
-                    let sealed = sk.0.borrow();
-                    if sealed.size == 0 {
-                        // Empty ablation record: nothing to walk, follow on.
-                        let next = sealed.link.clone();
-                        drop(sealed);
-                        link = next;
-                        continue;
-                    }
-                    out.push(sealed.ra);
-                    if out.len() >= limit {
-                        return out;
-                    }
-                    pos = sealed.base + sealed.size - self.code.displacement(sealed.ra);
-                    buf = sealed.buf.clone();
-                    link = sealed.link.clone();
-                }
-                ReturnAddress::Exit => return out,
+        // Below an underflow handler the walk goes on in the linked record.
+        while at_base == Some(ReturnAddress::Underflow) {
+            let Some(k) = link.take() else { break };
+            let Some(sk) = k.repr().as_any().downcast_ref::<SegKont<S>>() else { break };
+            let s = sk.0.borrow();
+            link = s.link.clone();
+            // An empty record (the tail-capture ablation) has no frames.
+            if s.size > 0 {
+                at_base = walker::walk(&s.buf.borrow(), s.base, s.base + s.size, s.ra, &*self.code)
+                    .backtrace_into(&mut out, limit);
             }
         }
+        out
     }
 
     fn reset(&mut self) {

@@ -6,8 +6,12 @@
 //! the top frame, where its return address is stored. This return address is
 //! used to find the frame size of the next frame down, ..." — Figure 4.
 //!
-//! The walker underlies continuation splitting (Figure 7) and is exactly the
-//! mechanism exception handlers and debuggers would use.
+//! This is the one routine that walks frames by their frame-size words. It
+//! underlies continuation splitting (Figure 7), every strategy's
+//! [`backtrace`](crate::ControlStack::backtrace) and the hybrid and
+//! incremental models' migration of stack frames into the heap, and it is
+//! exactly the mechanism exception handlers and debuggers would use. A walk
+//! reads the buffer in place and copies nothing.
 
 use crate::addr::{CodeAddr, FrameSizeTable, ReturnAddress};
 use crate::slot::StackSlot;
@@ -16,14 +20,15 @@ use crate::slot::StackSlot;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalkedFrame {
     /// Absolute index of the frame base within the buffer (the slot holding
-    /// the frame's return address — or the underflow/exit handler for the
-    /// frame at a segment base).
+    /// the frame's return address — or the segment base word for the frame
+    /// at a segment base).
     pub base: usize,
     /// Absolute index one past the frame's extent: the base of the frame
     /// above, or the segment's occupied top for the topmost frame.
     pub top: usize,
-    /// The frame's *own* return address — the address execution jumps to
-    /// when this frame returns, which points into the frame below's code.
+    /// The return address whose frame-size word gave this frame's extent:
+    /// the one stored at `top` (or in the stack record, for a record's
+    /// topmost frame). It points into this frame's code.
     pub ra: CodeAddr,
 }
 
@@ -36,10 +41,12 @@ impl WalkedFrame {
 
 /// Iterator walking a stack segment from its topmost frame down to its base.
 ///
-/// Created by [`walk`]. Yields [`WalkedFrame`]s top-down. After exhaustion,
-/// [`FrameWalker::reached_base`] reports whether the walk ended cleanly on
-/// the segment base (an underflow/exit word exactly at `base`), which is an
-/// invariant of well-formed segments.
+/// Created by [`walk`] or [`walk_live`]. Yields [`WalkedFrame`]s top-down
+/// and stops at the first frame whose base is the segment base. After
+/// exhaustion, [`FrameWalker::base_word`] is the word found there: the
+/// underflow handler or exit routine of a well-formed segment, or, on the
+/// hybrid and incremental stacks, a code address into the heap-frame chain
+/// beneath the stack.
 #[derive(Debug)]
 pub struct FrameWalker<'a, S, T: ?Sized> {
     buf: &'a [S],
@@ -47,7 +54,7 @@ pub struct FrameWalker<'a, S, T: ?Sized> {
     top: usize,
     ra: Option<CodeAddr>,
     code: &'a T,
-    clean: bool,
+    end: Option<ReturnAddress>,
 }
 
 /// Starts a walk over the occupied segment `buf[base..top]` whose topmost
@@ -64,7 +71,58 @@ pub fn walk<'a, S: StackSlot, T: FrameSizeTable + ?Sized>(
     top_ra: CodeAddr,
     code: &'a T,
 ) -> FrameWalker<'a, S, T> {
-    FrameWalker { buf, base, top, ra: Some(top_ra), code, clean: false }
+    FrameWalker { buf, base, top, ra: Some(top_ra), code, end: None }
+}
+
+/// Starts a walk at the live frame pointer `fp` of the segment based at
+/// `base`. The live frame's own extent is unknown (there is no stack
+/// pointer), so the walk yields the frames below it, beginning with the
+/// caller whose return address the live frame's base slot holds.
+pub fn walk_live<'a, S: StackSlot, T: FrameSizeTable + ?Sized>(
+    buf: &'a [S],
+    base: usize,
+    fp: usize,
+    code: &'a T,
+) -> FrameWalker<'a, S, T> {
+    let mut w = FrameWalker { buf, base, top: fp, ra: None, code, end: None };
+    w.ra = w.read(fp);
+    w
+}
+
+impl<S: StackSlot, T: FrameSizeTable + ?Sized> FrameWalker<'_, S, T> {
+    /// Reads the word at frame base `at`: the return address of the next
+    /// frame down, or `None` once the walk has reached the segment base
+    /// (recording the word found there).
+    fn read(&mut self, at: usize) -> Option<CodeAddr> {
+        let word = self.buf[at]
+            .as_return_address()
+            .unwrap_or_else(|| panic!("frame base slot at {at} does not hold a return address"));
+        match word {
+            ReturnAddress::Code(next) if at > self.base => Some(next),
+            _ => {
+                if at == self.base {
+                    self.end = Some(word);
+                }
+                None
+            }
+        }
+    }
+
+    /// Pushes the return address of each remaining frame onto `out` until
+    /// it holds `limit` addresses. Returns the segment base word when the
+    /// walk reached it with room left in `out`, so the caller can go on
+    /// into the next record or heap frame.
+    pub fn backtrace_into(
+        mut self,
+        out: &mut Vec<CodeAddr>,
+        limit: usize,
+    ) -> Option<ReturnAddress> {
+        while out.len() < limit {
+            let Some(frame) = self.next() else { return self.end };
+            out.push(frame.ra);
+        }
+        None
+    }
 }
 
 impl<S: StackSlot, T: FrameSizeTable + ?Sized> Iterator for FrameWalker<'_, S, T> {
@@ -78,34 +136,24 @@ impl<S: StackSlot, T: FrameSizeTable + ?Sized> Iterator for FrameWalker<'_, S, T
             "stack walk underran the segment base: displacement {d} at {ra} with only {} slots",
             self.top - self.base
         );
-        let fbase = self.top - d;
-        let frame = WalkedFrame { base: fbase, top: self.top, ra };
-        self.top = fbase;
-        self.ra = match self.buf[fbase].as_return_address() {
-            Some(ReturnAddress::Code(next)) => {
-                assert!(fbase > self.base, "code return address at the segment base");
-                Some(next)
-            }
-            Some(ReturnAddress::Underflow) | Some(ReturnAddress::Exit) => {
-                self.clean = fbase == self.base;
-                None
-            }
-            None => panic!("frame base slot at {fbase} does not hold a return address"),
-        };
+        let frame = WalkedFrame { base: self.top - d, top: self.top, ra };
+        self.top = frame.base;
+        self.ra = self.read(frame.base);
         Some(frame)
     }
 }
 
 impl<S, T: ?Sized> FrameWalker<'_, S, T> {
-    /// After the iterator is exhausted: did the walk end exactly on the
-    /// segment base with an underflow/exit word there?
-    pub fn reached_base(&self) -> bool {
-        self.clean
+    /// After the iterator is exhausted: the word at the segment base, if
+    /// the walk ended exactly there. `None` before exhaustion, and for a
+    /// malformed segment whose underflow or exit word sits above its base.
+    pub fn base_word(&self) -> Option<ReturnAddress> {
+        self.end
     }
 }
 
 /// Collects the frames of the occupied segment `buf[base..top]`, top-down,
-/// asserting the segment is well formed.
+/// asserting the walk ends on the segment base.
 pub fn frames<S: StackSlot, T: FrameSizeTable + ?Sized>(
     buf: &[S],
     base: usize,
@@ -115,7 +163,7 @@ pub fn frames<S: StackSlot, T: FrameSizeTable + ?Sized>(
 ) -> Vec<WalkedFrame> {
     let mut w = walk(buf, base, top, top_ra, code);
     let out: Vec<_> = w.by_ref().collect();
-    assert!(w.reached_base(), "segment walk did not terminate at the segment base");
+    assert!(w.base_word().is_some(), "segment walk did not terminate at the segment base");
     out
 }
 
@@ -201,16 +249,55 @@ mod tests {
     }
 
     #[test]
-    fn reached_base_is_false_before_exhaustion() {
+    fn base_word_is_none_before_exhaustion() {
         let code = TestCode::new();
         let (buf, top, ra) = build(&code, &[4, 6]);
         let mut w = walk(buf.as_slice(), 0, top, ra, &code);
-        assert!(!w.reached_base());
+        assert_eq!(w.base_word(), None);
         w.next();
-        assert!(!w.reached_base());
+        assert_eq!(w.base_word(), None);
         w.next();
-        assert!(w.reached_base());
+        assert_eq!(w.base_word(), Some(ReturnAddress::Exit));
         assert!(w.next().is_none());
+    }
+
+    #[test]
+    fn walk_live_starts_at_the_frame_pointer() {
+        let code = TestCode::new();
+        let (mut buf, top, ra) = build(&code, &[4, 6, 3]);
+        // A live frame at `top`: its base slot holds the return address
+        // into the topmost built frame, exactly as a call leaves it.
+        buf[top] = TestSlot::Ra(ReturnAddress::Code(ra));
+        let fs: Vec<_> = walk_live(buf.as_slice(), 0, top, &code).collect();
+        assert_eq!(fs, frames(&buf, 0, top, ra, &code));
+        // A live frame at the base has no frame below it.
+        let mut w = walk_live(buf.as_slice(), 0, 0, &code);
+        assert!(w.next().is_none());
+        assert_eq!(w.base_word(), Some(ReturnAddress::Exit));
+    }
+
+    #[test]
+    fn walk_stops_at_a_code_address_at_the_base() {
+        let code = TestCode::new();
+        let (mut buf, top, ra) = build(&code, &[4, 6, 3]);
+        // As on the hybrid and incremental stacks: the base word returns
+        // into a heap-frame chain beneath the stack.
+        let into_heap = code.ret_point(5);
+        buf[0] = TestSlot::Ra(ReturnAddress::Code(into_heap));
+        let mut w = walk(buf.as_slice(), 0, top, ra, &code);
+        assert_eq!(w.by_ref().map(|f| f.base).collect::<Vec<_>>(), [10, 4, 0]);
+        assert_eq!(w.base_word(), Some(ReturnAddress::Code(into_heap)));
+        // A backtrace takes the frames' addresses, then hands back the
+        // base word with room left for the heap chain...
+        let mut out = Vec::new();
+        let at_base = walk(buf.as_slice(), 0, top, ra, &code).backtrace_into(&mut out, 4);
+        assert_eq!(out.len(), 3);
+        assert_eq!(out[0], ra);
+        assert_eq!(at_base, Some(ReturnAddress::Code(into_heap)));
+        // ...but not once `limit` addresses are taken.
+        let mut out = Vec::new();
+        assert_eq!(walk(buf.as_slice(), 0, top, ra, &code).backtrace_into(&mut out, 3), None);
+        assert_eq!(out.len(), 3);
     }
 
     #[test]

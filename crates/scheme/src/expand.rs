@@ -58,6 +58,10 @@ impl Expander {
     /// [`SchemeError::Compile`] on malformed input.
     pub fn expand_toplevel(&mut self, datum: &Value) -> Result<Ast, SchemeError> {
         self.macro_depth = 0;
+        // Gensyms bind only locals of the unit being expanded, so each unit
+        // can reuse the names of the last: the interner, which never frees
+        // a name, stops growing with every eval.
+        self.next_gensym = 0;
         self.expand_toplevel_inner(datum)
     }
 

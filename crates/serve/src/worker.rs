@@ -123,14 +123,17 @@ impl Worker {
 
             // Grant one quantum on the kit for this job's strategy.
             let kit = kit_for(ring, &mut kits, slot.spec.strategy).expect("kit built at admission");
-            let quantum = self.config.quantum;
             emit(ring, EventKind::QuantumBegin, slot.spec.id, self.index as u64);
+            let ticks_before = slot.engine_job.ticks_used();
             let start = Instant::now();
-            let step = kit.step_job(&mut slot.engine_job, quantum);
+            let step = kit.step_job(&mut slot.engine_job, self.config.quantum);
             let busy = start.elapsed().as_nanos() as u64;
             emit(ring, EventKind::QuantumEnd, slot.spec.id, busy);
             {
+                // The job's own tick ledger is the one ledger: the worker
+                // charges what this quantum added to it.
                 let mut m = self.metrics.lock().expect("metrics poisoned");
+                m.ticks = m.ticks.saturating_add(slot.engine_job.ticks_used() - ticks_before);
                 m.quanta = m.quanta.saturating_add(1);
                 m.busy_nanos = m.busy_nanos.saturating_add(busy);
                 m.quantum_nanos.record(busy);
@@ -143,7 +146,6 @@ impl Worker {
                     self.finish(ring, &slot, Ok(value.to_string()), |m| m.completed += 1);
                 }
                 Ok(Step::Expired) => {
-                    self.add_ticks(quantum);
                     if out_of_fuel(&slot) {
                         self.finish(ring, &slot, Err(JobError::FuelExhausted), |m| {
                             m.fuel_exhausted += 1;
@@ -160,18 +162,12 @@ impl Worker {
                     }
                 }
                 Err(e) => {
-                    self.add_ticks(quantum);
                     self.finish(ring, &slot, Err(JobError::Eval(e.to_string())), |m| {
                         m.eval_errors += 1;
                     });
                 }
             }
         }
-    }
-
-    fn add_ticks(&self, ticks: u64) {
-        let mut m = self.metrics.lock().expect("metrics poisoned");
-        m.ticks = m.ticks.saturating_add(ticks);
     }
 
     /// Builds (or reuses) the kit, spawns the engine, and enqueues the
@@ -221,15 +217,6 @@ impl Worker {
         result: Result<String, JobError>,
         count: impl FnOnce(&mut WorkerMetrics),
     ) {
-        // Completed jobs settle their exact tick usage here (expired
-        // quanta were already charged whole as they happened).
-        if result.is_ok() {
-            let mut m = self.metrics.lock().expect("metrics poisoned");
-            m.ticks =
-                m.ticks.saturating_add(slot.engine_job.ticks_used().saturating_sub(
-                    slot.engine_job.quanta().saturating_sub(1) * self.config.quantum,
-                ));
-        }
         self.report(
             ring,
             &slot.spec,

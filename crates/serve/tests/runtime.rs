@@ -119,6 +119,27 @@ fn errors_are_reported_and_do_not_poison_workers() {
 }
 
 #[test]
+fn worker_ticks_are_the_sum_of_the_outcomes_ticks() {
+    let rt = Runtime::start(RuntimeConfig::with_workers(1).quantum(500));
+    let requests = [
+        Request::new("(+ 1 2)"),
+        Request::new(fib(18)),
+        Request::new(DIVERGE).fuel(2_000),
+        Request::new("(car '())"),
+        Request::new(format!("(begin {} (car '()))", fib(15))),
+    ];
+    let handles: Vec<_> = requests.into_iter().map(|r| rt.submit(r).unwrap()).collect();
+    let outcomes: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
+    assert_eq!(outcomes[0].quanta, 1, "one quantum");
+    assert!(outcomes[1].quanta > 1, "several quanta");
+    assert_eq!(outcomes[2].result, Err(JobError::FuelExhausted));
+    assert!(outcomes[3..].iter().all(|o| matches!(o.result, Err(JobError::Eval(_)))));
+    assert!(outcomes[4].quanta > 1, "an error after several quanta");
+    let snap = rt.shutdown();
+    assert_eq!(snap.total().ticks, outcomes.iter().map(|o| o.ticks).sum::<u64>());
+}
+
+#[test]
 fn every_strategy_serves_jobs() {
     let rt = Runtime::start(RuntimeConfig::with_workers(2));
     let handles: Vec<_> = Strategy::ALL

@@ -284,7 +284,7 @@ fn check_policies_do_not_change_semantics() {
 
 #[test]
 fn strategies_report_expected_capture_costs() {
-    // The quantitative shape of the paper (E5): repeated capture of a deep
+    // The quantitative shape of the paper (E2): repeated capture of a deep
     // stack copies the whole stack every time in the copy model, and a
     // bounded amount in the segmented model.
     let program = "(define ks '())
