@@ -11,7 +11,6 @@
 //! boundary exhibits the worst-case "bouncing" the paper describes.
 //! Experiment E9 reproduces that phenomenon.
 
-use std::any::Any;
 use std::rc::Rc;
 
 use segstack_core::{
@@ -31,19 +30,15 @@ struct CacheKont<S: StackSlot> {
 impl<S: StackSlot> Drop for CacheKont<S> {
     fn drop(&mut self) {
         // Both the block chain and the saved images can hold long chains
-        // of continuations; free them iteratively.
-        segstack_core::defer_drop(std::mem::take(&mut self.image));
+        // of continuations; hand them to the deferred-drop queue.
+        segstack_core::defer_slots(&mut self.image);
         if let Some(link) = self.link.take() {
-            segstack_core::defer_drop(link);
+            segstack_core::defer_drop(link.into_any());
         }
     }
 }
 
 impl<S: StackSlot> KontRepr<S> for CacheKont<S> {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
     fn retained_slots(&self) -> usize {
         // Iterative: a deep recursion flushes one block per overflow, so
         // chains reach hundreds of thousands of links — recursing here
@@ -51,7 +46,7 @@ impl<S: StackSlot> KontRepr<S> for CacheKont<S> {
         let mut total = self.image.len();
         let mut link = self.link.clone();
         while let Some(k) = link {
-            match k.repr().as_any().downcast_ref::<CacheKont<S>>() {
+            match k.downcast_ref::<CacheKont<S>>() {
                 Some(b) => {
                     total += b.image.len();
                     link = b.link.clone();
@@ -69,7 +64,7 @@ impl<S: StackSlot> KontRepr<S> for CacheKont<S> {
         let mut n = 1;
         let mut link = self.link.clone();
         while let Some(k) = link {
-            match k.repr().as_any().downcast_ref::<CacheKont<S>>() {
+            match k.downcast_ref::<CacheKont<S>>() {
                 Some(b) => {
                     n += 1;
                     link = b.link.clone();
@@ -278,8 +273,6 @@ impl<S: StackSlot> ControlStack<S> for CacheStack<S> {
             return Ok(ReturnAddress::Exit);
         }
         let kont = k
-            .repr()
-            .as_any()
             .downcast_ref::<CacheKont<S>>()
             .ok_or(StackError::ForeignContinuation { strategy: "cache" })?;
         // The whole block is copied back: the cache model has no splitting,
@@ -328,8 +321,7 @@ impl<S: StackSlot> ControlStack<S> for CacheStack<S> {
         let mut link = self.link.as_ref();
         // Below the underflow handler the walk goes on in the flushed block.
         while at_base == Some(ReturnAddress::Underflow) {
-            let Some(block) = link.and_then(|k| k.repr().as_any().downcast_ref::<CacheKont<S>>())
-            else {
+            let Some(block) = link.and_then(|k| k.downcast_ref::<CacheKont<S>>()) else {
                 break;
             };
             at_base = walker::walk(&block.image, 0, block.image.len(), block.ra, &*self.code)

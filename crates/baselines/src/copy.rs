@@ -8,7 +8,6 @@
 //! repeated captures of the same deep stack duplicate it wholesale (Danvy's
 //! observation, §6). Experiments E2/E11 quantify exactly this.
 
-use std::any::Any;
 use std::rc::Rc;
 
 use segstack_core::{
@@ -27,16 +26,12 @@ struct CopyKont<S: StackSlot> {
 impl<S: StackSlot> Drop for CopyKont<S> {
     fn drop(&mut self) {
         // The image may hold further continuation values (chains of saved
-        // stacks); free it iteratively.
-        segstack_core::defer_drop(std::mem::take(&mut self.image));
+        // stacks); hand them to the deferred-drop queue.
+        segstack_core::defer_slots(&mut self.image);
     }
 }
 
 impl<S: StackSlot> KontRepr<S> for CopyKont<S> {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
     fn retained_slots(&self) -> usize {
         self.image.len()
     }
@@ -219,8 +214,6 @@ impl<S: StackSlot> ControlStack<S> for CopyStack<S> {
             return Ok(ReturnAddress::Exit);
         }
         let kont = k
-            .repr()
-            .as_any()
             .downcast_ref::<CopyKont<S>>()
             .ok_or(StackError::ForeignContinuation { strategy: "copy" })?;
         // "When a continuation is invoked, the stack image in the heap is

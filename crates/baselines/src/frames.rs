@@ -111,17 +111,11 @@ impl<S: StackSlot> Drop for HeapFrame<S> {
     fn drop(&mut self) {
         // Dynamic-link chains are as long as the recursion was deep, and
         // frame slots may hold continuation values whose saved frames hold
-        // further continuations; free both iteratively. Shared links are a
-        // plain refcount decrement.
+        // further continuations; hand both to the deferred-drop queue.
         if let Some(link) = self.link.take() {
-            if Rc::strong_count(&link) == 1 {
-                segstack_core::defer_drop(link);
-            }
+            segstack_core::defer_drop(link);
         }
-        let slots = std::mem::take(&mut *self.slots.borrow_mut());
-        if !slots.is_empty() {
-            segstack_core::defer_drop(slots);
-        }
+        segstack_core::defer_slots(self.slots.get_mut());
     }
 }
 

@@ -11,7 +11,6 @@
 //! linked) allocates a fresh heap frame and copies the staged arguments
 //! into it, and every call maintains an explicit dynamic link.
 
-use std::any::Any;
 use std::rc::Rc;
 
 use segstack_core::{
@@ -30,10 +29,6 @@ struct HeapKont<S: StackSlot> {
 }
 
 impl<S: StackSlot> KontRepr<S> for HeapKont<S> {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
     fn retained_slots(&self) -> usize {
         self.frame.chain_slots()
     }
@@ -214,8 +209,6 @@ impl<S: StackSlot> ControlStack<S> for HeapStack<S> {
             return Ok(ReturnAddress::Exit);
         }
         let kont = k
-            .repr()
-            .as_any()
             .downcast_ref::<HeapKont<S>>()
             .ok_or(StackError::ForeignContinuation { strategy: "heap" })?;
         self.cur = kont.frame.clone();

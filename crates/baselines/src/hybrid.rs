@@ -10,7 +10,6 @@
 //! stack allocated (frames move on capture), and the stack must be kept
 //! small to bound capture cost.
 
-use std::any::Any;
 use std::rc::Rc;
 
 use segstack_core::{
@@ -31,10 +30,6 @@ struct HybridKont<S: StackSlot> {
 }
 
 impl<S: StackSlot> KontRepr<S> for HybridKont<S> {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
     fn retained_slots(&self) -> usize {
         self.frame.chain_slots()
     }
@@ -370,8 +365,6 @@ impl<S: StackSlot> ControlStack<S> for HybridStack<S> {
             return Ok(ReturnAddress::Exit);
         }
         let kont = k
-            .repr()
-            .as_any()
             .downcast_ref::<HybridKont<S>>()
             .ok_or(StackError::ForeignContinuation { strategy: "hybrid" })?;
         // Execution resumes *in* the heap frame; nothing is copied back to

@@ -10,7 +10,6 @@
 //! applies to this model directly: at most one copy of one frame is made
 //! per re-entry.
 
-use std::any::Any;
 use std::rc::Rc;
 
 use segstack_core::{
@@ -29,10 +28,6 @@ struct IncKont<S: StackSlot> {
 }
 
 impl<S: StackSlot> KontRepr<S> for IncKont<S> {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
     fn retained_slots(&self) -> usize {
         self.frame.chain_slots()
     }
@@ -259,8 +254,6 @@ impl<S: StackSlot> ControlStack<S> for IncrementalStack<S> {
             return Ok(ReturnAddress::Exit);
         }
         let kont = k
-            .repr()
-            .as_any()
             .downcast_ref::<IncKont<S>>()
             .ok_or(StackError::ForeignContinuation { strategy: "incremental" })?;
         // Copy the topmost saved frame onto the stack; the rest arrives

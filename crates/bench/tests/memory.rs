@@ -17,6 +17,9 @@
 //!
 //! A stack walk reads the stack in place: a backtrace copies no buffer.
 //!
+//! A chain of closures, each closing over the last, is freed through the
+//! deferred-drop queue, and freeing it leaves nothing behind.
+//!
 //! Live heap bytes, allocations and allocated bytes are counted by this
 //! binary's global allocator. The file holds a single `#[test]` so that no other test
 //! thread allocates while it measures.
@@ -100,6 +103,7 @@ fn warm_engines_retain_no_garbage() {
     finished_code_is_freed(&mut report);
     expansions_reuse_their_names(&mut report);
     backtraces_copy_no_buffer(&mut report);
+    closure_chains_are_freed(&mut report);
     for (line, _) in &report {
         println!("{line}");
     }
@@ -291,5 +295,25 @@ fn backtraces_copy_no_buffer(report: &mut Report) {
     report.push((
         format!("backtrace(16) on a warm cache engine: {bytes} B allocated (bound {WALK_BYTES})"),
         bytes < WALK_BYTES,
+    ));
+}
+
+/// Each run builds a 10,000-long chain of closures and drops it; the
+/// chunk is compiled once and rerun, so what a run keeps is what the
+/// chain's teardown leaves.
+fn closure_chains_are_freed(report: &mut Report) {
+    const RUN_BOUND: i64 = 16;
+    let mut engine = Engine::new().expect("default engine");
+    engine
+        .eval("(define (chain n acc) (if (= n 0) acc (chain (- n 1) (lambda () acc))))")
+        .expect("defines");
+    let chunk =
+        engine.compile("(procedure? (chain 10000 #f))").expect("compiles").expect("one form");
+    let per_run = retained_per_run(3, 200, || {
+        assert_eq!(engine.run(chunk.clone()).expect("runs").to_string(), "#t");
+    });
+    report.push((
+        format!("10,000-long closure chain: {per_run} B/run (bound {RUN_BOUND})"),
+        per_run <= RUN_BOUND,
     ));
 }

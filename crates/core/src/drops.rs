@@ -1,39 +1,47 @@
-//! Iterative teardown of linked control structures.
+//! The one teardown path: a deferred-drop queue.
 //!
 //! Continuations link to continuations (stack records chain through their
-//! link fields, saved stack images contain continuation values, heap-model
-//! frames chain through dynamic links). A naive recursive `Drop` of such a
-//! chain consumes native Rust stack proportional to the chain length and
-//! can abort the process — ironic for a library whose subject is bounded
+//! link fields, saved stack images and segment regions contain
+//! continuation values, heap-model frames chain through dynamic links), and
+//! Scheme data nests without bound. A naive recursive `Drop` of such a
+//! chain consumes native Rust stack proportional to its depth and can
+//! abort the process — ironic for a library whose subject is bounded
 //! control-stack usage.
 //!
-//! [`defer_drop`] breaks the recursion: the *outermost* drop switches into
-//! draining mode and processes a thread-local queue iteratively; drops
-//! reached while draining merely enqueue their own linked parts instead of
-//! recursing.
+//! The queue is the defunctionalized continuation of that recursive walk.
+//! Every owner of a possibly unbounded chain hands its parts to
+//! [`defer_drop`] (or its slots to [`defer_slots`]) instead of dropping
+//! them in place. A handle with other owners is only a decrement; the last
+//! handle is queued as it is. The outermost drop drains the queue in a
+//! loop, so every drop runs at constant native-stack depth, and the queue
+//! is empty again before that drop returns.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
+use crate::slot::StackSlot;
 
 thread_local! {
     static DRAINING: Cell<bool> = const { Cell::new(false) };
-    static QUEUE: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
+    static QUEUE: RefCell<Vec<Rc<dyn Any>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Drops `value` without unbounded native-stack recursion, provided every
-/// potentially-recursive `Drop` along its ownership chain also routes its
-/// linked parts through `defer_drop`.
+/// Drops `handle` without unbounded native-stack recursion, provided every
+/// potentially recursive `Drop` along its ownership chain also hands its
+/// parts to `defer_drop`.
 ///
-/// When called outside any deferred drop, this drops `value` immediately
-/// and then drains everything that got enqueued, iteratively. When called
-/// from within such a drop (i.e. while draining), it only enqueues.
+/// A handle with other owners is simply released. The last handle is
+/// queued; the outermost deferred drop then drains the queue iteratively,
+/// and drops reached while draining only enqueue.
 ///
 /// # Examples
 ///
 /// ```
 /// use segstack_core::defer_drop;
+/// use std::rc::Rc;
 ///
-/// struct Node(Option<Box<Node>>);
+/// struct Node(Option<Rc<Node>>);
 /// impl Drop for Node {
 ///     fn drop(&mut self) {
 ///         if let Some(next) = self.0.take() {
@@ -42,33 +50,59 @@ thread_local! {
 ///     }
 /// }
 ///
-/// let mut chain = Node(None);
+/// let mut chain = Rc::new(Node(None));
 /// for _ in 0..1_000_000 {
-///     chain = Node(Some(Box::new(chain)));
+///     chain = Rc::new(Node(Some(chain)));
 /// }
-/// defer_drop(chain); // would overflow the stack with recursive drops
+/// drop(chain); // would overflow the stack with recursive drops
 /// ```
-pub fn defer_drop<T: 'static>(value: T) {
-    if DRAINING.with(Cell::get) {
-        QUEUE.with(|q| q.borrow_mut().push(Box::new(value)));
+pub fn defer_drop(handle: Rc<dyn Any>) {
+    if Rc::strong_count(&handle) == 1 {
+        // During thread teardown the queue may be gone; the handle then
+        // drops in place.
+        deferring(|| {
+            let _ = QUEUE.try_with(|q| q.borrow_mut().push(handle));
+        });
+    }
+}
+
+/// Empties every slot of `slots` that may own heap data and hands what it
+/// owned to [`defer_drop`] ([`StackSlot::release`]).
+pub fn defer_slots<S: StackSlot>(slots: &mut [S]) {
+    deferring(|| {
+        for slot in slots {
+            if let Some(handle) = slot.release() {
+                defer_drop(handle);
+            }
+        }
+    });
+}
+
+/// Runs `f` with every deferred drop queued, then, unless a drain further
+/// out will, drains the queue. Nothing is dropped while `f` runs, so `f`
+/// may hand over values from under a `RefCell` borrow, provided the borrow
+/// ends inside `f`.
+pub(crate) fn deferring(f: impl FnOnce()) {
+    if DRAINING.with(|d| d.replace(true)) {
+        f();
         return;
     }
-    DRAINING.with(|d| d.set(true));
-    drop(value);
-    loop {
-        let next = QUEUE.with(|q| q.borrow_mut().pop());
-        match next {
-            Some(x) => drop(x),
-            None => break,
-        }
+    f();
+    while let Some(handle) = QUEUE.try_with(|q| q.borrow_mut().pop()).ok().flatten() {
+        drop(handle);
     }
     DRAINING.with(|d| d.set(false));
+}
+
+/// Whether no deferred drop is pending or running, as holds between any two
+/// stack operations.
+pub(crate) fn idle() -> bool {
+    !DRAINING.with(Cell::get) && QUEUE.try_with(|q| q.borrow().is_empty()).unwrap_or(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::rc::Rc;
 
     struct Link {
         next: Option<Rc<Link>>,
@@ -78,10 +112,9 @@ mod tests {
     impl Drop for Link {
         fn drop(&mut self) {
             self.alive.set(self.alive.get() - 1);
+            assert!(!idle(), "a link drops inside a drain");
             if let Some(next) = self.next.take() {
-                if Rc::strong_count(&next) == 1 {
-                    defer_drop(next);
-                }
+                defer_drop(next);
             }
         }
     }
@@ -101,8 +134,9 @@ mod tests {
         let alive = Rc::new(Cell::new(0));
         let head = chain(2_000_000, &alive);
         assert_eq!(alive.get(), 2_000_000);
-        drop(head);
+        defer_drop(head);
         assert_eq!(alive.get(), 0, "every link was freed");
+        assert!(idle(), "the queue is empty once the outermost drop returns");
     }
 
     #[test]
@@ -110,16 +144,18 @@ mod tests {
         let alive = Rc::new(Cell::new(0));
         let head = chain(1000, &alive);
         let keep = head.next.clone().unwrap();
-        drop(head);
+        defer_drop(head);
         assert_eq!(alive.get(), 999, "only the unshared head was freed");
-        drop(keep);
+        defer_drop(keep);
         assert_eq!(alive.get(), 0);
+        assert!(idle());
     }
 
     #[test]
-    fn nested_defer_calls_work_outside_drops() {
-        // Plain values are simply dropped.
-        defer_drop(vec![1, 2, 3]);
-        defer_drop(String::from("x"));
+    fn slots_are_emptied_and_their_heap_data_freed() {
+        let mut slots = [crate::TestSlot::Int(3), crate::TestSlot::Empty];
+        defer_slots(&mut slots);
+        assert_eq!(slots, [crate::TestSlot::Empty, crate::TestSlot::Empty]);
+        assert!(idle());
     }
 }

@@ -80,7 +80,7 @@ pub use segstack_trace::{EventKind, RingSink};
 
 pub use addr::{CodeAddr, FrameSizeTable, ReturnAddress, TestCode};
 pub use config::{Config, ConfigBuilder};
-pub use drops::defer_drop;
+pub use drops::{defer_drop, defer_slots};
 pub use error::StackError;
 pub use metrics::Metrics;
 pub use record::{Continuation, ExitKont, KontRepr};

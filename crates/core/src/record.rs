@@ -4,8 +4,9 @@
 //! size, and the return address of its topmost frame (§3–4). Each strategy
 //! in this workspace has its own record representation, so the public
 //! [`Continuation`] type wraps a strategy-specific representation behind the
-//! [`KontRepr`] trait. Strategies downcast on reinstatement; handing a
-//! continuation to the wrong strategy yields
+//! [`KontRepr`] trait. Strategies downcast on reinstatement
+//! ([`Continuation::downcast_ref`]); handing a continuation to the wrong
+//! strategy yields
 //! [`StackError::ForeignContinuation`](crate::StackError::ForeignContinuation).
 
 use std::any::Any;
@@ -20,11 +21,9 @@ use crate::slot::StackSlot;
 ///
 /// This trait is not meant to be implemented outside control-stack strategy
 /// crates; it exists so that one [`Continuation`] type can flow through a VM
-/// regardless of which strategy produced it.
-pub trait KontRepr<S: StackSlot>: fmt::Debug {
-    /// Downcasting support for the owning strategy.
-    fn as_any(&self) -> &dyn Any;
-
+/// regardless of which strategy produced it. A representation is [`Any`],
+/// so its strategy can downcast it and the deferred-drop queue can hold it.
+pub trait KontRepr<S: StackSlot>: Any + fmt::Debug {
     /// Total slots retained by this continuation, including everything
     /// reachable through its link chain. This is the memory-accounting
     /// figure behind experiment E11 (Danvy's duplication concern, §6).
@@ -77,12 +76,19 @@ impl<S: StackSlot> Continuation<S> {
 
     /// Returns `true` if this is the exit continuation.
     pub fn is_exit(&self) -> bool {
-        self.repr.as_any().is::<ExitKont>()
+        self.downcast_ref::<ExitKont>().is_some()
     }
 
-    /// Access to the underlying representation (for strategies).
-    pub fn repr(&self) -> &dyn KontRepr<S> {
-        &*self.repr
+    /// The underlying representation, if it is a `T` (for strategies).
+    pub fn downcast_ref<T: KontRepr<S>>(&self) -> Option<&T> {
+        (&*self.repr as &dyn Any).downcast_ref()
+    }
+
+    /// The handle to the underlying representation, for
+    /// [`defer_drop`](crate::defer_drop): a record reaches the queue as it
+    /// is, without a box.
+    pub fn into_any(self) -> Rc<dyn Any> {
+        self.repr
     }
 
     /// Pointer identity: two handles to the very same captured record.
@@ -124,7 +130,7 @@ impl<S: StackSlot> Continuation<S> {
     /// Returns `true` if this continuation is a one-shot wrapper (consumed
     /// or not).
     pub fn is_one_shot(&self) -> bool {
-        self.repr.as_any().is::<OneShotKont<S>>()
+        self.downcast_ref::<OneShotKont<S>>().is_some()
     }
 
     /// Number of live handles to the underlying representation. A count of
@@ -142,14 +148,14 @@ impl<S: StackSlot> Continuation<S> {
     /// first call, and `Some(Err(StackError::OneShotReused))` once the shot
     /// has been spent. Strategies call this at the top of `reinstate`.
     pub fn unwrap_one_shot(&self) -> Option<Result<Continuation<S>, StackError>> {
-        let w = self.repr.as_any().downcast_ref::<OneShotKont<S>>()?;
+        let w = self.downcast_ref::<OneShotKont<S>>()?;
         Some(w.inner.borrow_mut().take().ok_or(StackError::OneShotReused))
     }
 
     /// Returns `true` if this is a one-shot wrapper whose shot has already
     /// been spent (diagnostics; does not consume anything).
     pub fn one_shot_consumed(&self) -> bool {
-        match self.repr.as_any().downcast_ref::<OneShotKont<S>>() {
+        match self.downcast_ref::<OneShotKont<S>>() {
             Some(w) => w.inner.borrow().is_none(),
             None => false,
         }
@@ -194,10 +200,6 @@ impl<S: StackSlot> fmt::Debug for OneShotKont<S> {
 }
 
 impl<S: StackSlot> KontRepr<S> for OneShotKont<S> {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
     fn retained_slots(&self) -> usize {
         self.inner.borrow().as_ref().map_or(0, Continuation::retained_slots)
     }
@@ -216,10 +218,6 @@ impl<S: StackSlot> KontRepr<S> for OneShotKont<S> {
 pub struct ExitKont;
 
 impl<S: StackSlot> KontRepr<S> for ExitKont {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
     fn retained_slots(&self) -> usize {
         0
     }

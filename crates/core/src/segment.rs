@@ -7,11 +7,8 @@
 //! so sealed records keep shared references into the buffer.
 //!
 //! The allocator hands out buffers, optionally reuses retired ones, and can
-//! enforce a hard memory cap for failure-injection tests. The release
-//! queue lets a dying record give its region back without touching a
-//! buffer that may be borrowed at that moment.
+//! enforce a hard memory cap for failure-injection tests.
 
-use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -34,63 +31,17 @@ fn fresh_buffer<S: StackSlot>(len: usize) -> Buffer<S> {
     ))
 }
 
-/// Overwrites every heap-owning slot of `buf[lo..hi]` with `S::empty()`
-/// (`hi` is clamped to the buffer). The overwritten values drop while the
-/// buffer is borrowed, which is safe because a dying stack record never
-/// touches its buffer: it queues its region with [`release_later`].
+/// Empties every heap-owning slot of `buf[lo..hi]` (`hi` is clamped to the
+/// buffer) and hands what they owned to the deferred-drop queue, which
+/// drains only after the borrow ends. No slot write drops a value under a
+/// borrow either, so the buffer is never borrowed when a record dies and
+/// a dying record can release its region here at once.
 pub(crate) fn release_slots<S: StackSlot>(buf: &Buffer<S>, lo: usize, hi: usize) {
-    let mut b = buf.borrow_mut();
-    let hi = hi.min(b.len());
-    for slot in b.get_mut(lo..hi).into_iter().flatten() {
-        if slot.holds_heap() {
-            *slot = S::empty();
-        }
-    }
-}
-
-/// A region whose stack record died while other owners still held its
-/// buffer. The buffer is type-erased so one queue serves every slot type.
-struct PendingRelease {
-    buf: Rc<dyn Any>,
-    lo: usize,
-    hi: usize,
-    run: fn(Rc<dyn Any>, usize, usize),
-}
-
-thread_local! {
-    static PENDING: RefCell<Vec<PendingRelease>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Queues `buf[lo..hi]` for [`release_slots`]. A record can die while its
-/// buffer is mutably borrowed (a slot write drops the record's last
-/// handle), so the release cannot run in the record's `Drop`; the stack
-/// runs the queue with [`drain_releases`] on its cold paths.
-///
-/// A queued release holds a handle to the buffer, so anything that counts
-/// a buffer's owners must drain first.
-pub(crate) fn release_later<S: StackSlot>(buf: Buffer<S>, lo: usize, hi: usize) {
-    let buf: Rc<dyn Any> = buf;
-    // Fails only during thread teardown, when nothing runs again and the
-    // handle may simply drop.
-    let _ = PENDING.try_with(|p| {
-        p.borrow_mut().push(PendingRelease { buf, lo, hi, run: run_release::<S> });
+    crate::drops::deferring(|| {
+        let mut b = buf.borrow_mut();
+        let hi = hi.min(b.len());
+        crate::drops::defer_slots(b.get_mut(lo..hi).unwrap_or_default());
     });
-}
-
-fn run_release<S: StackSlot>(buf: Rc<dyn Any>, lo: usize, hi: usize) {
-    let buf = buf.downcast::<RefCell<Box<[S]>>>().expect("a queued release matches its slot type");
-    // The last owner needs no clearing: the whole buffer goes.
-    if Rc::strong_count(&buf) > 1 {
-        release_slots(&buf, lo, hi);
-    }
-    crate::drops::defer_drop(buf);
-}
-
-/// Runs every queued release, including those that releasing queues.
-pub(crate) fn drain_releases() {
-    while let Some(r) = PENDING.try_with(|p| p.borrow_mut().pop()).ok().flatten() {
-        (r.run)(r.buf, r.lo, r.hi);
-    }
 }
 
 /// Allocator for stack-segment buffers with a small reuse pool.

@@ -8,7 +8,6 @@
 //! Stack overflow is an implicit capture; returning off the base of a
 //! segment (underflow) is an implicit reinstatement (§5).
 
-use std::any::Any;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -20,7 +19,7 @@ use crate::config::Config;
 use crate::error::StackError;
 use crate::metrics::Metrics;
 use crate::record::{Continuation, KontRepr};
-use crate::segment::{drain_releases, release_later, release_slots, Buffer, SegmentAllocator};
+use crate::segment::{release_slots, Buffer, SegmentAllocator};
 use crate::slot::StackSlot;
 use crate::traits::{ControlStack, StackStats};
 use crate::walker::{self, split_point};
@@ -32,8 +31,13 @@ const EMPTY_RECORD_RA: CodeAddr = CodeAddr::new(u32::MAX, u32::MAX);
 /// A sealed stack segment: the paper's stack record, in its continuation
 /// role.
 struct SealedSeg<S: StackSlot> {
-    /// The (possibly shared) buffer this record points into.
-    buf: Buffer<S>,
+    /// The (possibly shared) buffer this record points into; `None` once
+    /// the relink fast path adopted this record's segment as the live
+    /// stack. A consumed record must never be reinstated again (its slots
+    /// are being overwritten by live execution); the unshared-handle
+    /// precondition makes this unreachable, so the missing buffer is a
+    /// defensive poison checked by `reinstate` and `audit_invariants`.
+    buf: Option<Buffer<S>>,
     /// Base of the sealed segment within `buf`.
     base: usize,
     /// Occupied size in slots.
@@ -43,12 +47,6 @@ struct SealedSeg<S: StackSlot> {
     ra: CodeAddr,
     /// The next stack record down, or `None` for the exit routine.
     link: Option<Continuation<S>>,
-    /// Set when the relink fast path adopted this record's segment as the
-    /// live stack. A consumed record must never be reinstated again (its
-    /// slots are being overwritten by live execution); the unshared-handle
-    /// precondition makes this unreachable, so the flag is a defensive
-    /// poison checked by `reinstate` and `audit_invariants`.
-    consumed: bool,
 }
 
 impl<S: StackSlot> fmt::Debug for SealedSeg<S> {
@@ -58,7 +56,7 @@ impl<S: StackSlot> fmt::Debug for SealedSeg<S> {
             .field("size", &self.size)
             .field("ra", &self.ra)
             .field("linked", &self.link.is_some())
-            .field("consumed", &self.consumed)
+            .field("consumed", &self.buf.is_none())
             .finish()
     }
 }
@@ -73,35 +71,31 @@ struct SegKont<S: StackSlot>(RefCell<SealedSeg<S>>);
 
 impl<S: StackSlot> Drop for SegKont<S> {
     fn drop(&mut self) {
-        // Record chains can be long (one record per overflow), and segment
-        // buffers hold continuation values pointing at further buffers;
-        // tear both down iteratively.
+        // Record chains can be long (one record per overflow), and a region
+        // holds continuation values whose records hold further regions; the
+        // link, and the region's values or the last owner's whole buffer, go
+        // to the deferred-drop queue.
         let s = self.0.get_mut();
-        if let Some(link) = s.link.take() {
-            crate::drops::defer_drop(link);
-        }
-        if Rc::strong_count(&s.buf) > 1 {
-            // The buffer outlives this record, so its region must not: the
+        crate::drops::deferring(|| {
+            if let Some(link) = s.link.take() {
+                crate::defer_drop(link.into_any());
+            }
+            // A consumed record owns no buffer.
+            let Some(buf) = s.buf.take() else { return };
+            // If the buffer outlives this record, its region must not: the
             // dead values there may hold continuations whose records share
             // the buffer, a cycle no count would ever free. Nothing else
-            // reads the region (sealed regions are disjoint), but the
-            // buffer may be borrowed right now, so the release is queued.
-            if s.size > 0 {
-                release_later(s.buf.clone(), s.base, s.base + s.size);
+            // reads the region (sealed regions are disjoint). No buffer is
+            // borrowed when a record dies, so the release runs at once.
+            if Rc::strong_count(&buf) > 1 {
+                release_slots(&buf, s.base, s.base + s.size);
             }
-        } else if !s.consumed {
-            // A consumed record already traded its buffer for an empty one.
-            let empty: Buffer<S> = Rc::new(RefCell::new(Vec::new().into_boxed_slice()));
-            crate::drops::defer_drop(std::mem::replace(&mut s.buf, empty));
-        }
+            crate::defer_drop(buf);
+        });
     }
 }
 
 impl<S: StackSlot> KontRepr<S> for SegKont<S> {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
     fn retained_slots(&self) -> usize {
         // Iterative: record chains grow one record per overflow, so a deep
         // recursion can leave hundreds of thousands of links — recursing
@@ -113,7 +107,7 @@ impl<S: StackSlot> KontRepr<S> for SegKont<S> {
             s.link.clone()
         };
         while let Some(k) = link {
-            match k.repr().as_any().downcast_ref::<SegKont<S>>() {
+            match k.downcast_ref::<SegKont<S>>() {
                 Some(sk) => {
                     let s = sk.0.borrow();
                     total += s.size;
@@ -132,7 +126,7 @@ impl<S: StackSlot> KontRepr<S> for SegKont<S> {
         let mut n = 1;
         let mut link = self.0.borrow().link.clone();
         while let Some(k) = link {
-            match k.repr().as_any().downcast_ref::<SegKont<S>>() {
+            match k.downcast_ref::<SegKont<S>>() {
                 Some(sk) => {
                     n += 1;
                     link = sk.0.borrow().link.clone();
@@ -292,13 +286,11 @@ impl<S: StackSlot> SegmentedStack<S> {
     }
 
     /// Releases the dead span `[lo, hw + esp_reserve)` of the live buffer
-    /// before the stack leaves it or starts over in it, then runs the
-    /// queued releases, so that buffer owner counts are exact again.
-    /// Every record sharing the live buffer ends at or below `base`, so no
-    /// record reads the span; the live frames in it are being abandoned.
+    /// before the stack leaves it or starts over in it. Every record
+    /// sharing the live buffer ends at or below `base`, so no record reads
+    /// the span; the live frames in it are being abandoned.
     fn release_dead_span(&self, lo: usize) {
         release_slots(&self.buf, lo, self.hw + self.cfg.esp_reserve());
-        drain_releases();
     }
 
     /// Overflow recovery: "If stack overflow can be detected while the
@@ -324,24 +316,23 @@ impl<S: StackSlot> SegmentedStack<S> {
             (self.metrics.segments_reused > reused_before) as u64,
         );
         let sealed = SealedSeg {
-            buf: self.buf.clone(),
+            buf: Some(self.buf.clone()),
             base: self.base,
             size: seal_top - self.base,
             ra,
             link: self.link.take(),
-            consumed: false,
         };
         self.metrics.stack_records_allocated += 1;
         let k = Continuation::from_repr(Rc::new(SegKont(RefCell::new(sealed))));
         let newlen = newbuf.borrow().len();
-        {
-            let src = self.buf.borrow();
-            let mut dst = newbuf.borrow_mut();
-            dst[0] = S::from_return_address(ReturnAddress::Underflow);
-            for j in 0..nargs {
-                dst[1 + j] = src[seal_top + 1 + j].clone();
-            }
-        }
+        // A pooled segment may still hold values where the frame lands.
+        write_slot(&newbuf, 0, S::from_return_address(ReturnAddress::Underflow));
+        crate::drops::deferring(|| {
+            copy_slots(
+                &mut newbuf.borrow_mut()[1..1 + nargs],
+                &self.buf.borrow()[seal_top + 1..seal_top + 1 + nargs],
+            );
+        });
         self.metrics.slots_copied += nargs as u64;
         self.release_dead_span(seal_top);
         self.buf = newbuf;
@@ -359,32 +350,28 @@ impl<S: StackSlot> SegmentedStack<S> {
     /// original record is narrowed to the top part. The only mutation to
     /// sealed stack words is writing the underflow handler at the split
     /// frame's base, which is semantically neutral.
-    fn maybe_split(&mut self, kont: &SegKont<S>) {
+    fn maybe_split(&mut self, kont: &SegKont<S>, buf: &Buffer<S>) {
         if kont.0.borrow().size <= self.cfg.copy_bound() {
             return;
         }
         let mut s = kont.0.borrow_mut();
         let top = s.base + s.size;
-        let sp = {
-            let buf = s.buf.borrow();
-            split_point(&buf, s.base, top, s.ra, &*self.code, self.cfg.copy_bound())
-        };
+        let sp = split_point(&buf.borrow(), s.base, top, s.ra, &*self.code, self.cfg.copy_bound());
         let Some(sp) = sp else { return };
-        let bottom_ra = s.buf.borrow()[sp]
+        let bottom_ra = buf.borrow()[sp]
             .as_return_address()
             .expect("split point must be a frame base")
             .code()
             .expect("a frame base above the segment base holds a code return address");
         let bottom = SealedSeg {
-            buf: s.buf.clone(),
+            buf: Some(buf.clone()),
             base: s.base,
             size: sp - s.base,
             ra: bottom_ra,
             link: s.link.take(),
-            consumed: false,
         };
         let deferred = bottom.size;
-        s.buf.borrow_mut()[sp] = S::from_return_address(ReturnAddress::Underflow);
+        buf.borrow_mut()[sp] = S::from_return_address(ReturnAddress::Underflow);
         s.base = sp;
         s.size = top - sp;
         s.link = Some(Continuation::from_repr(Rc::new(SegKont(RefCell::new(bottom)))));
@@ -428,13 +415,13 @@ impl<S: StackSlot> SegmentedStack<S> {
         if k.repr_strong_count() != 1 {
             return None;
         }
-        let head = k.repr().as_any().downcast_ref::<SegKont<S>>()?;
+        let head = k.downcast_ref::<SegKont<S>>()?;
         let (head_buf, head_base, size, ra) = {
             let s = head.0.borrow();
-            if s.consumed || s.size == 0 {
-                return None;
+            match &s.buf {
+                Some(buf) if s.size > 0 => (buf.clone(), s.base, s.size, s.ra),
+                _ => return None,
             }
-            (s.buf.clone(), s.base, s.size, s.ra)
         };
         let disp = self.code.displacement(ra);
         if disp == 0 || disp > size {
@@ -472,15 +459,13 @@ impl<S: StackSlot> SegmentedStack<S> {
                 if c.is_exit() || steps > RELINK_WALK_BUDGET {
                     break;
                 }
-                let Some(sk) = c.repr().as_any().downcast_ref::<SegKont<S>>() else {
+                let Some(sk) = c.downcast_ref::<SegKont<S>>() else {
                     break; // foreign record: its buffer use is opaque
                 };
                 let next = {
                     let s = sk.0.borrow();
-                    if s.consumed {
-                        break;
-                    }
-                    if Rc::ptr_eq(&s.buf, &head_buf) {
+                    let Some(buf) = &s.buf else { break };
+                    if Rc::ptr_eq(buf, &head_buf) {
                         tally += 1;
                     }
                     s.link.clone()
@@ -497,13 +482,12 @@ impl<S: StackSlot> SegmentedStack<S> {
         }
         // Commit: consume the record and adopt its segment as the live
         // stack. The record keeps existing until the caller's handle drops,
-        // but it is poisoned (and releases its buffer handle) so a buggy
+        // but it gives up its buffer handle, which poisons it, so a buggy
         // second reinstatement cannot read slots live execution now owns.
         let link = {
             let mut s = head.0.borrow_mut();
-            s.consumed = true;
             s.size = 0;
-            s.buf = Rc::new(RefCell::new(Vec::new().into_boxed_slice()));
+            s.buf = None;
             s.link.take()
         };
         if !same_buffer {
@@ -542,9 +526,6 @@ impl<S: StackSlot> SegmentedStack<S> {
         // Begin/Relink/End span — the span protocol below is reserved for
         // the copy path, whose End event carries the realized copy cost.
         if owned && !k.is_exit() {
-            // Queued releases hold buffer handles; the relink's owner
-            // count must not see them.
-            drain_releases();
             if let Some(ra) = self.try_relink(k) {
                 self.metrics.reinstatements += 1;
                 return Ok(ra);
@@ -556,11 +537,7 @@ impl<S: StackSlot> SegmentedStack<S> {
         // Span-paired: the end event carries the realized cost (slots
         // copied) as a metric delta, so the Figure 6–7 copy bound becomes
         // a per-event assertion in the trace.
-        let target_size = k
-            .repr()
-            .as_any()
-            .downcast_ref::<SegKont<S>>()
-            .map_or(0, |sk| sk.0.borrow().size as u64);
+        let target_size = k.downcast_ref::<SegKont<S>>().map_or(0, |sk| sk.0.borrow().size as u64);
         emit(&self.sink, EventKind::ReinstateBegin, target_size, owned as u64);
         let copied_before = self.metrics.slots_copied;
         let result = self.reinstate_inner(k);
@@ -581,18 +558,18 @@ impl<S: StackSlot> SegmentedStack<S> {
         // Skip through empty ablation records (size 0) to the first real
         // segment — linear in the chain, which is the ablation's point.
         let mut resolved = k.clone();
-        loop {
-            let Some(sk) = resolved.repr().as_any().downcast_ref::<SegKont<S>>() else {
+        let src_buf = loop {
+            let Some(sk) = resolved.downcast_ref::<SegKont<S>>() else {
                 return Err(StackError::ForeignContinuation { strategy: "segmented" });
             };
             let sealed = sk.0.borrow();
-            if sealed.consumed {
+            let Some(buf) = &sealed.buf else {
                 // A relink consumed this record; reinstating it again
                 // would read slots live execution now owns.
                 return Err(StackError::OneShotReused);
-            }
+            };
             if sealed.size > 0 {
-                break;
+                break buf.clone();
             }
             match &sealed.link {
                 Some(inner) => {
@@ -616,17 +593,15 @@ impl<S: StackSlot> SegmentedStack<S> {
                     return Ok(ReturnAddress::Exit);
                 }
             }
-        }
+        };
         let k = &resolved;
         let kont = k
-            .repr()
-            .as_any()
             .downcast_ref::<SegKont<S>>()
             .ok_or(StackError::ForeignContinuation { strategy: "segmented" })?;
-        self.maybe_split(kont);
-        let (src_buf, src_base, size, ra, klink) = {
+        self.maybe_split(kont, &src_buf);
+        let (src_base, size, ra, klink) = {
             let s = kont.0.borrow();
-            (s.buf.clone(), s.base, s.size, s.ra, s.link.clone())
+            (s.base, s.size, s.ra, s.link.clone())
         };
         if self.base + size + self.cfg.esp_reserve() > self.end {
             let reused_before = self.metrics.segments_reused;
@@ -645,22 +620,21 @@ impl<S: StackSlot> SegmentedStack<S> {
             self.end = newlen;
             self.hw = 0;
         }
-        if Rc::ptr_eq(&src_buf, &self.buf) {
-            // The saved segment lives below the current base in the very
-            // same buffer (capture never copied it out); the regions are
-            // disjoint by construction.
-            debug_assert!(src_base + size <= self.base);
+        crate::drops::deferring(|| {
             let mut b = self.buf.borrow_mut();
-            for i in 0..size {
-                b[self.base + i] = b[src_base + i].clone();
+            if Rc::ptr_eq(&src_buf, &self.buf) {
+                // The saved segment lives below the current base in the
+                // very same buffer (capture never copied it out); the
+                // regions are disjoint by construction.
+                let (below, live) = b.split_at_mut(self.base);
+                copy_slots(&mut live[..size], &below[src_base..src_base + size]);
+            } else {
+                copy_slots(
+                    &mut b[self.base..self.base + size],
+                    &src_buf.borrow()[src_base..src_base + size],
+                );
             }
-        } else {
-            let srcb = src_buf.borrow();
-            let mut b = self.buf.borrow_mut();
-            for i in 0..size {
-                b[self.base + i] = srcb[src_base + i].clone();
-            }
-        }
+        });
         self.metrics.slots_copied += size as u64;
         self.resume_at(self.base + size - self.code.displacement(ra));
         self.link = klink;
@@ -678,7 +652,9 @@ impl<S: StackSlot> SegmentedStack<S> {
     /// pointer sits at or below the high-water mark, and every chain
     /// record that shares the live buffer ends at or below `base`. An
     /// unchecked (leaf) call may run one frame above the mark, so the
-    /// audit belongs between operations, not inside a leaf frame.
+    /// audit belongs between operations, not inside a leaf frame. There,
+    /// too, the deferred-drop queue must be empty and not draining: every
+    /// release has run.
     ///
     /// Unlike the [`walker`](crate::walker) helpers this never panics on
     /// corrupt state; it returns a description of the first violation
@@ -686,6 +662,9 @@ impl<S: StackSlot> SegmentedStack<S> {
     /// linear in the total retained stack, so it is a debugging aid, not a
     /// production check.
     pub fn audit_invariants(&self) -> Result<(), String> {
+        if !crate::drops::idle() {
+            return Err("a deferred drop is pending or running between operations".into());
+        }
         let bound = self.cfg.frame_bound();
         {
             let buf = self.buf.borrow();
@@ -729,7 +708,7 @@ impl<S: StackSlot> SegmentedStack<S> {
         let mut depth: usize = 0;
         while let Some(k) = link {
             depth += 1;
-            let Some(sk) = k.repr().as_any().downcast_ref::<SegKont<S>>() else {
+            let Some(sk) = k.downcast_ref::<SegKont<S>>() else {
                 return Err(format!(
                     "record {depth}: foreign strategy {} in the chain",
                     k.strategy()
@@ -737,19 +716,19 @@ impl<S: StackSlot> SegmentedStack<S> {
             };
             let next = {
                 let s = sk.0.borrow();
-                if s.consumed {
+                let Some(sbuf) = &s.buf else {
                     return Err(format!(
                         "record {depth} was consumed by a relink but is still reachable"
                     ));
-                }
-                if Rc::ptr_eq(&s.buf, &self.buf) && s.base + s.size > self.base {
+                };
+                if Rc::ptr_eq(sbuf, &self.buf) && s.base + s.size > self.base {
                     return Err(format!(
                         "record {depth} shares the live buffer but ends at {}, above the base {}",
                         s.base + s.size,
                         self.base
                     ));
                 }
-                let sbuf = s.buf.borrow();
+                let sbuf = sbuf.borrow();
                 if s.base + s.size > sbuf.len() {
                     return Err(format!(
                         "record {depth} overruns its buffer: base={} size={} buf={}",
@@ -788,6 +767,29 @@ impl<S: StackSlot> SegmentedStack<S> {
             link = next;
         }
         Ok(())
+    }
+}
+
+// No slot write drops a value under a buffer borrow: the old value may be
+// the last handle to a record, whose release borrows its buffer, perhaps
+// the one being written.
+
+/// Writes `v` at `buf[i]` and drops the old value after the borrow ends.
+fn write_slot<S: StackSlot>(buf: &Buffer<S>, i: usize, v: S) {
+    let old = std::mem::replace(&mut buf.borrow_mut()[i], v);
+    drop(old);
+}
+
+/// Clones `src` over `dst` and hands the overwritten values to the
+/// deferred-drop queue. Called inside [`drops::deferring`], which drains
+/// the queue once the caller's borrows have ended.
+///
+/// [`drops::deferring`]: crate::drops::deferring
+fn copy_slots<S: StackSlot>(dst: &mut [S], src: &[S]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        if let Some(old) = std::mem::replace(d, s.clone()).release() {
+            crate::defer_drop(old);
+        }
     }
 }
 
@@ -868,7 +870,7 @@ impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
 
     fn set(&mut self, i: usize, v: S) {
         debug_assert!(self.fp + i < self.end, "slot write beyond segment end");
-        self.buf.borrow_mut()[self.fp + i] = v;
+        write_slot(&self.buf, self.fp + i, v);
     }
 
     fn call(
@@ -898,7 +900,7 @@ impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
                 "unchecked call escaped the two-frame reserve"
             );
         }
-        self.buf.borrow_mut()[new_fp] = S::from_return_address(ReturnAddress::Code(ra));
+        write_slot(&self.buf, new_fp, S::from_return_address(ReturnAddress::Code(ra)));
         self.fp = new_fp;
         Ok(())
     }
@@ -908,9 +910,9 @@ impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
         // slot, so src merely needs to sit at or above the target base.
         debug_assert!(src >= 1, "tail-call staging below the frame base");
         self.metrics.tail_calls += 1;
-        let mut b = self.buf.borrow_mut();
         for j in 0..nargs {
-            b[self.fp + 1 + j] = b[self.fp + src + j].clone();
+            let v = self.buf.borrow()[self.fp + src + j].clone();
+            write_slot(&self.buf, self.fp + 1 + j, v);
         }
     }
 
@@ -929,11 +931,8 @@ impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
                 self.metrics.underflows += 1;
                 let k = self.link.take().expect("underflow with no linked continuation");
                 if self.sink.is_some() {
-                    let size = k
-                        .repr()
-                        .as_any()
-                        .downcast_ref::<SegKont<S>>()
-                        .map_or(0, |sk| sk.0.borrow().size as u64);
+                    let size =
+                        k.downcast_ref::<SegKont<S>>().map_or(0, |sk| sk.0.borrow().size as u64);
                     emit(&self.sink, EventKind::Underflow, size, 0);
                 }
                 // The taken link is owned: it dies at the end of this arm,
@@ -945,20 +944,10 @@ impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
                 // defeat the relink fast path's buffer accounting, and a
                 // relinked record needs no salvage: its buffer *became*
                 // the live segment.
-                let salvage = k.repr().as_any().downcast_ref::<SegKont<S>>().and_then(|sk| {
-                    let s = sk.0.borrow();
-                    if s.consumed {
-                        None
-                    } else {
-                        Some(s.buf.clone())
-                    }
-                });
+                let salvage =
+                    k.downcast_ref::<SegKont<S>>().and_then(|sk| sk.0.borrow().buf.clone());
                 drop(k);
                 if let Some(buf) = salvage {
-                    // A record that just died queued the release of its
-                    // region, which holds a buffer handle; run it so
-                    // `retire` sees the buffer's true owners.
-                    drain_releases();
                     if !Rc::ptr_eq(&buf, &self.buf) {
                         self.alloc.retire(buf); // pooled only if unshared
                     }
@@ -986,12 +975,11 @@ impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
             // would grow progressively longer and the program would
             // eventually run out of memory" (§4).
             let sealed = SealedSeg {
-                buf: self.buf.clone(),
+                buf: Some(self.buf.clone()),
                 base: self.base,
                 size: 0,
                 ra: EMPTY_RECORD_RA,
                 link: self.link.take(),
-                consumed: false,
             };
             self.metrics.stack_records_allocated += 1;
             let k = Continuation::from_repr(Rc::new(SegKont(RefCell::new(sealed))));
@@ -1005,12 +993,11 @@ impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
             .code()
             .expect("a live frame above the segment base has a code return address");
         let sealed = SealedSeg {
-            buf: self.buf.clone(),
+            buf: Some(self.buf.clone()),
             base: self.base,
             size: self.fp - self.base,
             ra: live_ra,
             link: self.link.take(),
-            consumed: false,
         };
         self.metrics.stack_records_allocated += 1;
         let k = Continuation::from_repr(Rc::new(SegKont(RefCell::new(sealed))));
@@ -1067,12 +1054,12 @@ impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
         // Below an underflow handler the walk goes on in the linked record.
         while at_base == Some(ReturnAddress::Underflow) {
             let Some(k) = link.take() else { break };
-            let Some(sk) = k.repr().as_any().downcast_ref::<SegKont<S>>() else { break };
+            let Some(sk) = k.downcast_ref::<SegKont<S>>() else { break };
             let s = sk.0.borrow();
             link = s.link.clone();
             // An empty record (the tail-capture ablation) has no frames.
-            if s.size > 0 {
-                at_base = walker::walk(&s.buf.borrow(), s.base, s.base + s.size, s.ra, &*self.code)
+            if let Some(buf) = s.buf.as_ref().filter(|_| s.size > 0) {
+                at_base = walker::walk(&buf.borrow(), s.base, s.base + s.size, s.ra, &*self.code)
                     .backtrace_into(&mut out, limit);
             }
         }
@@ -1097,11 +1084,10 @@ impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
         self.buf.borrow_mut()[0] = S::from_return_address(ReturnAddress::Exit);
     }
 
-    /// Releases the dead span and, if no record shares the buffer once
-    /// queued releases have run, moves back to its bottom, as `reset`
-    /// does with such a buffer. Without the move, every computation that
-    /// captured below its top and then reinstated left the next one
-    /// starting higher in the segment.
+    /// Releases the dead span and, if no record shares the buffer, moves
+    /// back to its bottom, as `reset` does with such a buffer. Without the
+    /// move, every computation that captured below its top and then
+    /// reinstated left the next one starting higher in the segment.
     fn exited(&mut self) {
         if self.fp != self.base || self.link.is_some() {
             return;
@@ -1418,9 +1404,6 @@ mod tests {
         #[derive(Debug)]
         struct Foreign;
         impl KontRepr<TestSlot> for Foreign {
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
             fn retained_slots(&self) -> usize {
                 0
             }
@@ -1754,6 +1737,7 @@ mod release_tests {
     //! live frame or a live record can read it. `Probe` is heap data whose
     //! death the tests observe through a `Weak`.
 
+    use std::any::Any;
     use std::rc::Weak;
 
     use super::*;
@@ -1785,8 +1769,15 @@ mod release_tests {
             KSlot::Empty
         }
 
-        fn holds_heap(&self) -> bool {
-            matches!(self, KSlot::K(_) | KSlot::Probe(_))
+        fn release(&mut self) -> Option<Rc<dyn Any>> {
+            match std::mem::replace(self, KSlot::Empty) {
+                KSlot::K(k) => Some(k.into_any()),
+                KSlot::Probe(p) => Some(p),
+                other => {
+                    *self = other;
+                    None
+                }
+            }
         }
     }
 
@@ -1824,26 +1815,58 @@ mod release_tests {
         stack.audit_invariants().unwrap();
     }
 
-    #[test]
-    fn a_record_dying_inside_a_slot_write_releases_its_region_later() {
-        let (code, mut stack) = setup();
-        let ra0 = call(&mut stack, &code, 4);
+    /// Seals a region holding a probe in the live buffer (`k1`), then
+    /// reinstates the continuation below it (`k0`, resuming at `ra0` on
+    /// the bottom frame, at `fp == base`). That leaves `k1`'s record out
+    /// of the machine's chain: only the returned handle holds it.
+    fn orphan_a_record_in_the_live_buffer(
+        stack: &mut SegmentedStack<KSlot>,
+        code: &TestCode,
+    ) -> (CodeAddr, Continuation<KSlot>, Continuation<KSlot>, Weak<()>) {
+        let ra0 = call(stack, code, 4);
         let k0 = stack.capture();
         let (p, alive) = probe();
         stack.set(1, p);
-        call(&mut stack, &code, 4);
-        // k1's region holds the probe. Reinstating k0 leaves k1's record
-        // out of the machine's chain: only `k1` holds it.
+        call(stack, code, 4);
         let k1 = stack.capture();
-        stack.reinstate(&k0).unwrap();
-        stack.set(3, KSlot::K(k1));
-        // Overwriting the last handle drops the record while the buffer is
-        // borrowed for the write; the release must wait, not panic.
-        stack.set(3, KSlot::Empty);
-        assert!(alive.upgrade().is_some(), "the release waits for a cold path");
-        stack.reset();
-        assert!(alive.upgrade().is_none(), "the dead record's region was released");
         assert_eq!(stack.reinstate(&k0).unwrap(), ReturnAddress::Code(ra0));
+        assert_eq!(stack.fp(), stack.segment_base());
+        (ra0, k0, k1, alive)
+    }
+
+    #[test]
+    fn a_record_dying_inside_a_slot_write_releases_its_region_at_once() {
+        let (code, mut stack) = setup();
+        let (ra0, k0, k1, alive) = orphan_a_record_in_the_live_buffer(&mut stack, &code);
+        stack.set(3, KSlot::K(k1));
+        // Overwriting the last handle drops the record after the write's
+        // borrow ends, so the release runs at once and does not panic.
+        stack.set(3, KSlot::Empty);
+        assert!(alive.upgrade().is_none(), "the dead record's region was released");
+        stack.audit_invariants().unwrap();
+        assert_eq!(stack.reinstate(&k0).unwrap(), ReturnAddress::Code(ra0));
+        stack.audit_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_tail_call_overwriting_a_records_last_handle_releases_its_region_at_once() {
+        let (code, mut stack) = setup();
+        let (_, _k0, k1, alive) = orphan_a_record_in_the_live_buffer(&mut stack, &code);
+        stack.set(1, KSlot::K(k1));
+        stack.set(5, KSlot::Empty);
+        stack.tail_call(5, 1);
+        assert!(alive.upgrade().is_none(), "the dead record's region was released");
+        stack.audit_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_reinstatement_copying_over_a_records_last_handle_releases_its_region_at_once() {
+        let (code, mut stack) = setup();
+        let (_, k0, k1, alive) = orphan_a_record_in_the_live_buffer(&mut stack, &code);
+        // The copy of k0's frame lands on this slot of the abandoned frame.
+        stack.set(1, KSlot::K(k1));
+        stack.reinstate(&k0).unwrap();
+        assert!(alive.upgrade().is_none(), "the dead record's region was released");
         stack.audit_invariants().unwrap();
     }
 

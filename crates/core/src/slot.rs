@@ -6,7 +6,9 @@
 //! the same control-stack machinery can carry raw test words in unit tests
 //! and full Scheme values in the VM.
 
+use std::any::Any;
 use std::fmt::Debug;
+use std::rc::Rc;
 
 use crate::addr::ReturnAddress;
 
@@ -28,11 +30,12 @@ pub trait StackSlot: Clone + Debug + 'static {
     /// The filler value used for freshly allocated, unoccupied slots.
     fn empty() -> Self;
 
-    /// Whether this slot may own heap data, so that overwriting it with
-    /// [`empty`](StackSlot::empty) can free something. A stack releasing a
-    /// dead region rewrites only these slots; immediates and return
-    /// addresses stay as they are.
-    fn holds_heap(&self) -> bool;
+    /// Empties this slot if it may own heap data, and returns the handle
+    /// through which it did, for the deferred-drop queue
+    /// ([`defer_slots`](crate::defer_slots)). A stack releasing a dead
+    /// region rewrites only these slots; immediates and return addresses
+    /// stay as they are.
+    fn release(&mut self) -> Option<Rc<dyn Any>>;
 }
 
 /// A minimal slot type for tests, simulations and micro-benchmarks.
@@ -84,9 +87,13 @@ impl StackSlot for TestSlot {
 
     /// Integers stand in for heap data: a released slot reads back as
     /// `Empty`, so a region released while still readable shows up as a
-    /// wrong value in the fuzzer's oracle comparison.
-    fn holds_heap(&self) -> bool {
-        matches!(self, TestSlot::Int(_))
+    /// wrong value in the fuzzer's oracle comparison. There is no handle
+    /// to hand over.
+    fn release(&mut self) -> Option<Rc<dyn Any>> {
+        if matches!(self, TestSlot::Int(_)) {
+            *self = TestSlot::Empty;
+        }
+        None
     }
 }
 
@@ -121,8 +128,13 @@ mod tests {
 
     #[test]
     fn only_integers_count_as_heap_data() {
-        assert!(TestSlot::Int(0).holds_heap());
-        assert!(!TestSlot::Empty.holds_heap());
-        assert!(!TestSlot::Ra(ReturnAddress::Exit).holds_heap());
+        for (mut slot, released) in [
+            (TestSlot::Int(0), TestSlot::Empty),
+            (TestSlot::Empty, TestSlot::Empty),
+            (TestSlot::Ra(ReturnAddress::Exit), TestSlot::Ra(ReturnAddress::Exit)),
+        ] {
+            assert!(slot.release().is_none());
+            assert_eq!(slot, released);
+        }
     }
 }

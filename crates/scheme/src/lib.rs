@@ -59,5 +59,5 @@ pub use error::{SchemeError, SourcePos};
 pub use intern::Symbol;
 pub use machine::{Engine, EngineBuilder};
 pub use reader::{read_all, read_one};
-pub use value::{Closure, Displayed, Pair, Primitive, Value};
+pub use value::{CellStore, Closure, Displayed, Pair, Primitive, Value, ValuesStore, VectorStore};
 pub use vm::{run, TimerState, VmOptions};

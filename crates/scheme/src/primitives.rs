@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use crate::error::SchemeError;
 use crate::intern::Symbol;
-use crate::value::{Displayed, Primitive, Value};
+use crate::value::{Displayed, Primitive, Value, VectorStore};
 
 /// Host context available to primitives.
 #[derive(Debug)]
@@ -258,7 +258,7 @@ fn want_char(v: &Value, who: &str) -> Result<char, SchemeError> {
     }
 }
 
-fn want_vector(v: &Value, who: &str) -> Result<Rc<RefCell<Vec<Value>>>, SchemeError> {
+fn want_vector(v: &Value, who: &str) -> Result<Rc<VectorStore>, SchemeError> {
     match v {
         Value::Vector(items) => Ok(items.clone()),
         _ => Err(SchemeError::runtime(format!("{who}: expected a vector, got {v}"))),
@@ -982,11 +982,11 @@ fn p_make_vector(_: &mut PrimCtx<'_>, a: &[Value]) -> Result<Value, SchemeError>
     let mut items = Vec::new();
     items.try_reserve_exact(n).map_err(|_| too_large("make-vector", n))?;
     items.resize(n, fill);
-    Ok(Value::Vector(Rc::new(RefCell::new(items))))
+    Ok(Value::vector(items))
 }
 
 fn p_vector(_: &mut PrimCtx<'_>, a: &[Value]) -> Result<Value, SchemeError> {
-    Ok(Value::Vector(Rc::new(RefCell::new(a.to_vec()))))
+    Ok(Value::vector(a.to_vec()))
 }
 
 fn p_vector_length(_: &mut PrimCtx<'_>, a: &[Value]) -> Result<Value, SchemeError> {
@@ -1025,7 +1025,7 @@ fn p_vector_to_list(_: &mut PrimCtx<'_>, a: &[Value]) -> Result<Value, SchemeErr
 }
 
 fn p_list_to_vector(_: &mut PrimCtx<'_>, a: &[Value]) -> Result<Value, SchemeError> {
-    Ok(Value::Vector(Rc::new(RefCell::new(a[0].list_to_vec()?))))
+    Ok(Value::vector(a[0].list_to_vec()?))
 }
 
 fn p_vector_fill(_: &mut PrimCtx<'_>, a: &[Value]) -> Result<Value, SchemeError> {
@@ -1102,7 +1102,7 @@ fn p_values(_: &mut PrimCtx<'_>, a: &[Value]) -> Result<Value, SchemeError> {
     // A single value passes through untagged (R5RS: `(values v)` ≡ `v`).
     match a {
         [v] => Ok(v.clone()),
-        _ => Ok(Value::Values(Rc::new(a.to_vec()))),
+        _ => Ok(Value::values(a.to_vec())),
     }
 }
 

@@ -99,7 +99,7 @@ impl Reader {
                         None => return Err(self.err(pos, "unterminated vector literal")),
                         Some(t) if t.kind == TokenKind::RParen => {
                             self.bump();
-                            return Ok(Value::Vector(Rc::new(RefCell::new(items))));
+                            return Ok(Value::vector(items));
                         }
                         Some(t) if t.kind == TokenKind::Dot => {
                             return Err(self.err(Some(t.pos), "dot not allowed in vector"))

@@ -5,11 +5,13 @@
 //! a stack segment clones values — one clone is one "slot copied" in the
 //! cost model.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::fmt;
+use std::ops::Deref;
 use std::rc::Rc;
 
-use segstack_core::{Continuation, ReturnAddress, StackSlot};
+use segstack_core::{defer_slots, Continuation, ReturnAddress, StackSlot};
 
 use crate::code::Chunk;
 use crate::error::SchemeError;
@@ -24,23 +26,14 @@ pub struct Pair {
     pub cdr: RefCell<Value>,
 }
 
+// Every aggregate hands the values it holds to the deferred-drop queue
+// (`segstack_core::defer_slots`) when it dies: data nests through any of
+// them without bound, and a recursive drop of a deep nest would overflow
+// the native stack.
+
 impl Drop for Pair {
     fn drop(&mut self) {
-        // Unlink long cdr chains iteratively: a recursive drop of a
-        // million-element list would overflow the native stack. Cars (and
-        // shared tails) drop normally; deep *car* nesting is rare.
-        let mut cdr = self.cdr.replace(Value::Nil);
-        while let Value::Pair(p) = cdr {
-            match Rc::try_unwrap(p) {
-                // Sole owner: detach its tail before `inner` drops at the
-                // end of this arm, keeping each drop shallow.
-                Ok(inner) => cdr = inner.cdr.replace(Value::Nil),
-                Err(_) => break,
-            }
-        }
-        // Continuation values stored in the car (or in a shared tail's
-        // car) are handled by the strategies' own deferred drops.
-        segstack_core::defer_drop(self.car.replace(Value::Nil));
+        defer_slots(&mut [self.car.take(), self.cdr.take()]);
     }
 }
 
@@ -53,6 +46,63 @@ pub struct Closure {
     pub chunk: Rc<Chunk>,
     /// Captured free-variable values.
     pub free: Box<[Value]>,
+}
+
+impl Drop for Closure {
+    fn drop(&mut self) {
+        defer_slots(&mut self.free);
+    }
+}
+
+/// A vector's elements.
+#[derive(Debug)]
+pub struct VectorStore(RefCell<Vec<Value>>);
+
+impl Deref for VectorStore {
+    type Target = RefCell<Vec<Value>>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl Drop for VectorStore {
+    fn drop(&mut self) {
+        defer_slots(self.0.get_mut());
+    }
+}
+
+/// The contents of an assignment-converted variable's cell.
+#[derive(Debug)]
+pub struct CellStore(RefCell<Value>);
+
+impl Deref for CellStore {
+    type Target = RefCell<Value>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl Drop for CellStore {
+    fn drop(&mut self) {
+        defer_slots(std::slice::from_mut(self.0.get_mut()));
+    }
+}
+
+/// The values of a `values` call.
+#[derive(Debug)]
+pub struct ValuesStore(Box<[Value]>);
+
+impl Deref for ValuesStore {
+    type Target = [Value];
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl Drop for ValuesStore {
+    fn drop(&mut self) {
+        defer_slots(&mut self.0);
+    }
 }
 
 /// Index into the primitive-procedure table (see
@@ -87,7 +137,7 @@ pub enum Value {
     /// Cons cell.
     Pair(Rc<Pair>),
     /// Mutable vector.
-    Vector(Rc<RefCell<Vec<Value>>>),
+    Vector(Rc<VectorStore>),
     /// Compiled closure.
     Closure(Rc<Closure>),
     /// Primitive procedure.
@@ -97,12 +147,12 @@ pub enum Value {
     /// Assignment-converted variable cell ("pointers to cells in the heap
     /// containing the actual parameters if the parameters are assignable",
     /// paper §3).
-    Cell(Rc<RefCell<Value>>),
+    Cell(Rc<CellStore>),
     /// An in-memory output port (`open-output-string`).
     Port(Rc<RefCell<String>>),
     /// Multiple return values (`values`); consumed by
     /// `call-with-values`.
-    Values(Rc<Vec<Value>>),
+    Values(Rc<ValuesStore>),
     /// A return address occupying a frame-base slot (never a user datum).
     Ra(ReturnAddress),
 }
@@ -135,9 +185,19 @@ impl Value {
         Value::Str(Rc::new(RefCell::new(s.into())))
     }
 
+    /// Builds a vector value.
+    pub fn vector(items: Vec<Value>) -> Value {
+        Value::Vector(Rc::new(VectorStore(RefCell::new(items))))
+    }
+
     /// Builds a fresh assignment-conversion cell holding `v`.
     pub fn cell(v: Value) -> Value {
-        Value::Cell(Rc::new(RefCell::new(v)))
+        Value::Cell(Rc::new(CellStore(RefCell::new(v))))
+    }
+
+    /// Builds a multiple-values object.
+    pub fn values(items: Vec<Value>) -> Value {
+        Value::Values(Rc::new(ValuesStore(items.into_boxed_slice())))
     }
 
     /// Builds a fresh string output port.
@@ -343,10 +403,11 @@ impl StackSlot for Value {
         Value::Unspecified
     }
 
-    /// Lists the immediates, so that a new variant counts as heap data
-    /// (the safe default: releasing it is merely redundant).
-    fn holds_heap(&self) -> bool {
-        !matches!(
+    /// Immediates own no heap data and stay as they are: a release scans
+    /// whole dead spans, and writing only the heap slots keeps it cheap. A
+    /// new variant must join the immediates or get its handle below.
+    fn release(&mut self) -> Option<Rc<dyn Any>> {
+        if matches!(
             self,
             Value::Fixnum(_)
                 | Value::Flonum(_)
@@ -357,7 +418,20 @@ impl StackSlot for Value {
                 | Value::Sym(_)
                 | Value::Primitive(_)
                 | Value::Ra(_)
-        )
+        ) {
+            return None;
+        }
+        let handle: Rc<dyn Any> = match std::mem::take(self) {
+            Value::Str(s) | Value::Port(s) => s,
+            Value::Pair(p) => p,
+            Value::Vector(v) => v,
+            Value::Closure(c) => c,
+            Value::Kont(k) => k.into_any(),
+            Value::Cell(c) => c,
+            Value::Values(vs) => vs,
+            immediate => unreachable!("{immediate} is not listed as an immediate"),
+        };
+        Some(handle)
     }
 }
 
@@ -572,7 +646,7 @@ mod tests {
         assert_eq!(Displayed(&Value::Char('x')).to_string(), "x");
         assert_eq!(Value::Flonum(2.0).to_string(), "2.0");
         assert_eq!(Value::Nil.to_string(), "()");
-        let v = Value::Vector(Rc::new(RefCell::new(vec![1.into(), 2.into()])));
+        let v = Value::vector(vec![1.into(), 2.into()]);
         assert_eq!(v.to_string(), "#(1 2)");
     }
 

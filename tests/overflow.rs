@@ -155,6 +155,29 @@ fn very_deep_data_structures_drop_safely() {
 }
 
 #[test]
+fn deep_nests_of_every_aggregate_drop_safely() {
+    // A value nested 100,000 deep through each aggregate that holds
+    // values: a car, a vector, a closure, a `set!` cell (which a closure
+    // captures) and a multiple-values object. Freeing it must not recurse
+    // on the native stack. Value teardown does not depend on the strategy,
+    // so the default engine suffices.
+    let mut e = Engine::builder().max_steps(200_000_000).build().unwrap();
+    e.eval("(define (nest n wrap acc) (if (= n 0) acc (nest (- n 1) wrap (wrap acc))))").unwrap();
+    for wrap in [
+        "(lambda (acc) (cons acc '()))",
+        "vector",
+        "(lambda (acc) (lambda () acc))",
+        "(lambda (acc) (let ((c #f)) (set! c acc) (lambda () c)))",
+        "(lambda (acc) (values acc 1))",
+    ] {
+        e.eval(&format!("(define v (nest 100000 {wrap} '()))")).unwrap();
+        e.eval("(set! v #f)").unwrap();
+        assert_eq!(e.eval_to_string("(+ 1 2)").unwrap(), "3", "{wrap}");
+    }
+    drop(e);
+}
+
+#[test]
 fn chains_of_continuations_drop_safely_on_all_strategies() {
     // Each captured continuation's saved state contains the previous one:
     // a 60000-deep ownership chain at teardown (iterative Drop).
