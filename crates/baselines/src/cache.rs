@@ -15,7 +15,7 @@ use std::rc::Rc;
 
 use segstack_core::{
     walker, CodeAddr, Config, Continuation, ControlStack, FrameSizeTable, KontRepr, Metrics,
-    ReturnAddress, StackError, StackSlot, StackStats,
+    Resume, ReturnAddress, StackError, StackSlot, StackStats,
 };
 
 /// A flushed block of frames: a copied stack image plus the usual record
@@ -39,43 +39,12 @@ impl<S: StackSlot> Drop for CacheKont<S> {
 }
 
 impl<S: StackSlot> KontRepr<S> for CacheKont<S> {
-    fn retained_slots(&self) -> usize {
-        // Iterative: a deep recursion flushes one block per overflow, so
-        // chains reach hundreds of thousands of links — recursing here
-        // would overflow the native stack.
-        let mut total = self.image.len();
-        let mut link = self.link.clone();
-        while let Some(k) = link {
-            match k.downcast_ref::<CacheKont<S>>() {
-                Some(b) => {
-                    total += b.image.len();
-                    link = b.link.clone();
-                }
-                None => {
-                    total += k.retained_slots();
-                    break;
-                }
-            }
-        }
-        total
+    fn footprint(&self) -> (usize, usize) {
+        (1, self.image.len())
     }
 
-    fn chain_len(&self) -> usize {
-        let mut n = 1;
-        let mut link = self.link.clone();
-        while let Some(k) = link {
-            match k.downcast_ref::<CacheKont<S>>() {
-                Some(b) => {
-                    n += 1;
-                    link = b.link.clone();
-                }
-                None => {
-                    n += k.chain_len();
-                    break;
-                }
-            }
-        }
-        n
+    fn link(&self) -> Option<Continuation<S>> {
+        self.link.clone()
     }
 
     fn strategy(&self) -> &'static str {
@@ -174,10 +143,7 @@ impl<S: StackSlot> ControlStack<S> for CacheStack<S> {
     ) -> Result<(), StackError> {
         debug_assert!(d >= 1);
         self.metrics.calls += 1;
-        let bound = self.cfg.frame_bound();
-        if d > bound || 1 + nargs > bound {
-            return Err(StackError::FrameTooLarge { requested: d.max(1 + nargs), bound });
-        }
+        self.cfg.check_frame(d, nargs)?;
         let new_fp = self.fp + d;
         if check {
             self.metrics.checks_executed += 1;
@@ -253,28 +219,11 @@ impl<S: StackSlot> ControlStack<S> for CacheStack<S> {
         k
     }
 
-    fn reinstate(&mut self, k: &Continuation<S>) -> Result<ReturnAddress, StackError> {
-        // `call/1cc`: take the inner continuation out of a one-shot
-        // wrapper; a spent wrapper errors before any state changes.
-        let taken;
-        let k = match k.unwrap_one_shot() {
-            None => k,
-            Some(Err(e)) => return Err(e),
-            Some(Ok(inner)) => {
-                taken = inner;
-                &taken
-            }
-        };
-        self.metrics.reinstatements += 1;
-        if k.is_exit() {
-            self.fp = 0;
-            self.buf[0] = S::from_return_address(ReturnAddress::Exit);
-            self.link = None;
+    fn resume(&mut self, r: Resume<'_, S>) -> Result<ReturnAddress, StackError> {
+        let Some(kont) = r.record::<CacheKont<S>>(self.name())? else {
+            self.reset();
             return Ok(ReturnAddress::Exit);
-        }
-        let kont = k
-            .downcast_ref::<CacheKont<S>>()
-            .ok_or(StackError::ForeignContinuation { strategy: "cache" })?;
+        };
         // The whole block is copied back: the cache model has no splitting,
         // so every underflow refills (and every overflow flushed) up to a
         // cache-full of slots — the "bouncing" cost.
@@ -430,17 +379,6 @@ mod tests {
         let (code, mut stack) = setup(256);
         let max_chain = sim::looper_workload(&mut stack, &code, 1000, 4);
         assert_eq!(max_chain, 1);
-    }
-
-    #[test]
-    fn foreign_continuation_is_rejected() {
-        let (code, mut stack) = setup(256);
-        let mut heap = crate::heap::HeapStack::<TestSlot>::new(Config::default());
-        let k = sim::capture_at_depth(&mut heap, &code, 3, 4);
-        assert_eq!(
-            stack.reinstate(&k).unwrap_err(),
-            StackError::ForeignContinuation { strategy: "cache" }
-        );
     }
 
     #[test]

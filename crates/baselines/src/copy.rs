@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use segstack_core::{
     walker, CodeAddr, Config, Continuation, ControlStack, FrameSizeTable, KontRepr, Metrics,
-    ReturnAddress, StackError, StackSlot, StackStats,
+    Resume, ReturnAddress, StackError, StackSlot, StackStats,
 };
 
 /// Continuation representation of the copy model: a full copy of the stack
@@ -32,12 +32,12 @@ impl<S: StackSlot> Drop for CopyKont<S> {
 }
 
 impl<S: StackSlot> KontRepr<S> for CopyKont<S> {
-    fn retained_slots(&self) -> usize {
-        self.image.len()
+    fn footprint(&self) -> (usize, usize) {
+        (1, self.image.len())
     }
 
-    fn chain_len(&self) -> usize {
-        1
+    fn link(&self) -> Option<Continuation<S>> {
+        None
     }
 
     fn strategy(&self) -> &'static str {
@@ -137,8 +137,8 @@ impl<S: StackSlot> ControlStack<S> for CopyStack<S> {
         check: bool,
     ) -> Result<(), StackError> {
         debug_assert!(d >= 1);
-        let _ = nargs;
         self.metrics.calls += 1;
+        self.cfg.check_frame(d, nargs)?;
         if check {
             self.metrics.checks_executed += 1;
         } else {
@@ -195,27 +195,11 @@ impl<S: StackSlot> ControlStack<S> for CopyStack<S> {
         Continuation::from_repr(Rc::new(CopyKont { image, ra }))
     }
 
-    fn reinstate(&mut self, k: &Continuation<S>) -> Result<ReturnAddress, StackError> {
-        // `call/1cc`: take the inner continuation out of a one-shot
-        // wrapper; a spent wrapper errors before any state changes.
-        let taken;
-        let k = match k.unwrap_one_shot() {
-            None => k,
-            Some(Err(e)) => return Err(e),
-            Some(Ok(inner)) => {
-                taken = inner;
-                &taken
-            }
-        };
-        self.metrics.reinstatements += 1;
-        if k.is_exit() {
-            self.fp = 0;
-            self.buf[0] = S::from_return_address(ReturnAddress::Exit);
+    fn resume(&mut self, r: Resume<'_, S>) -> Result<ReturnAddress, StackError> {
+        let Some(kont) = r.record::<CopyKont<S>>(self.name())? else {
+            self.reset();
             return Ok(ReturnAddress::Exit);
-        }
-        let kont = k
-            .downcast_ref::<CopyKont<S>>()
-            .ok_or(StackError::ForeignContinuation { strategy: "copy" })?;
+        };
         // "When a continuation is invoked, the stack image in the heap is
         // copied into the stack area."
         self.ensure(kont.image.len() + self.cfg.esp_reserve());
@@ -337,17 +321,6 @@ mod tests {
         let max_chain = sim::looper_workload(&mut stack, &code, 100, 4);
         assert_eq!(max_chain, 0);
         assert_eq!(stack.metrics().captures, 100);
-    }
-
-    #[test]
-    fn foreign_continuation_is_rejected() {
-        let (code, mut stack) = setup();
-        let mut heap = crate::heap::HeapStack::<TestSlot>::new(Config::default());
-        let k = sim::capture_at_depth(&mut heap, &code, 3, 4);
-        assert_eq!(
-            stack.reinstate(&k).unwrap_err(),
-            StackError::ForeignContinuation { strategy: "copy" }
-        );
     }
 
     #[test]

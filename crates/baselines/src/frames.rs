@@ -1,12 +1,57 @@
 //! Heap-allocated activation records, shared by the heap, hybrid and
-//! incremental models, and the walks those models share: down a heap-frame
-//! chain, and over a stack whose base word returns into one.
+//! incremental models: their frames, their one continuation record type,
+//! and what all three do with them (clone a shared frame before running in
+//! it, allocate a callee's frame, walk a heap-frame chain or a stack whose
+//! base word returns into one, and migrate stack frames into the heap).
 
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use segstack_core::{walker, CodeAddr, FrameSizeTable, Metrics, ReturnAddress, StackSlot};
+use segstack_core::{
+    walker, CodeAddr, Continuation, FrameSizeTable, KontRepr, Metrics, ReturnAddress, StackSlot,
+};
+
+/// Continuation representation of the heap-frame models: the caller's
+/// frame chain plus the resume address, so capture and reinstatement are
+/// O(1). The chain is shared with any number of captures. The strategy's
+/// name tells the heap, hybrid and incremental models' records apart.
+#[derive(Debug)]
+pub struct FrameKont<S: StackSlot> {
+    /// The head of the saved frame chain (the capturing frame's caller).
+    pub frame: Rc<HeapFrame<S>>,
+    /// Where execution resumes in `frame`.
+    pub ra: CodeAddr,
+    strategy: &'static str,
+}
+
+impl<S: StackSlot> FrameKont<S> {
+    /// Captures the chain `frame`, to resume at `ra`, as a continuation of
+    /// `strategy`.
+    pub fn capture(
+        strategy: &'static str,
+        frame: Rc<HeapFrame<S>>,
+        ra: CodeAddr,
+        metrics: &mut Metrics,
+    ) -> Continuation<S> {
+        metrics.stack_records_allocated += 1;
+        Continuation::from_repr(Rc::new(FrameKont { frame, ra, strategy }))
+    }
+}
+
+impl<S: StackSlot> KontRepr<S> for FrameKont<S> {
+    fn footprint(&self) -> (usize, usize) {
+        self.frame.footprint()
+    }
+
+    fn link(&self) -> Option<Continuation<S>> {
+        None
+    }
+
+    fn strategy(&self) -> &'static str {
+        self.strategy
+    }
+}
 
 /// A heap-allocated activation record (paper Figure 1).
 ///
@@ -42,6 +87,44 @@ impl<S: StackSlot> HeapFrame<S> {
         slots[i] = v;
     }
 
+    /// Makes `frame` privately owned before execution writes into it. "The
+    /// frame cannot be reused or modified" once it is part of a captured
+    /// continuation (§2): returning or re-entering into a frame some
+    /// continuation still references clones it first, so the
+    /// continuation's view stays frozen. The cost is bounded by the frame
+    /// size, never by the stack depth.
+    pub fn make_private(frame: &mut Rc<Self>, metrics: &mut Metrics) {
+        if Rc::strong_count(frame) > 1 {
+            let slots = frame.slots.borrow().clone();
+            metrics.heap_frames_allocated += 1;
+            metrics.heap_slots_allocated += slots.len() as u64;
+            metrics.slots_copied += slots.len() as u64;
+            *frame = HeapFrame::new(frame.link.clone(), slots);
+        }
+    }
+
+    /// Allocates a callee's frame: slot 0 holds `ra` and the arguments are
+    /// this frame's slots `src..src + nargs`. `link` is this frame for a
+    /// call, and this frame's caller for a tail call: a heap frame may be
+    /// shared with a captured continuation, so even a tail call allocates
+    /// (§2).
+    pub fn callee(
+        &self,
+        link: Option<Rc<Self>>,
+        ra: S,
+        src: usize,
+        nargs: usize,
+        metrics: &mut Metrics,
+    ) -> Rc<Self> {
+        let mut slots = Vec::with_capacity(1 + nargs);
+        slots.push(ra);
+        slots.extend((src..src + nargs).map(|i| self.get(i)));
+        metrics.slots_copied += nargs as u64;
+        metrics.heap_frames_allocated += 1;
+        metrics.heap_slots_allocated += (1 + nargs) as u64;
+        HeapFrame::new(link, slots)
+    }
+
     /// The frames of the chain starting here, each followed by its caller.
     pub fn chain(&self) -> impl Iterator<Item = &HeapFrame<S>> {
         std::iter::successors(Some(self), |f| f.link.as_deref())
@@ -53,14 +136,9 @@ impl<S: StackSlot> HeapFrame<S> {
         self.chain().map_while(|f| f.slots.borrow().first()?.as_return_address()?.code())
     }
 
-    /// Number of frames in the chain starting here.
-    pub fn chain_len(&self) -> usize {
-        self.chain().count()
-    }
-
-    /// Total slots held by the chain starting here.
-    pub fn chain_slots(&self) -> usize {
-        self.chain().map(|f| f.slots.borrow().len()).sum()
+    /// The frames in the chain starting here and the slots they hold.
+    pub fn footprint(&self) -> (usize, usize) {
+        self.chain().fold((0, 0), |(n, slots), f| (n + 1, slots + f.slots.borrow().len()))
     }
 }
 
@@ -85,25 +163,33 @@ pub fn stack_backtrace<S: StackSlot>(
     out
 }
 
-/// Moves every stack frame below the live frame at `fp` into the heap, on
-/// top of the chain `deep`, and makes the new head (the live frame's
-/// caller) the chain `deep` and the result. The walker finds the frames;
-/// they are *moved*, never copied back, which is the one-copy-only property
-/// of the hybrid model (§6).
+/// Moves every stack frame below the live frame at `*fp` into the heap, on
+/// top of the chain `deep`, then slides the first `width` slots of the live
+/// frame (clamped to the stack) down to the stack base. The new head of
+/// `deep`, the live frame's caller, is also the result. The walker finds
+/// the frames; they are *moved*, never copied back, which is the
+/// one-copy-only property of the hybrid model (§6).
 pub fn migrate_below<S: StackSlot>(
-    buf: &[S],
-    fp: usize,
+    buf: &mut [S],
+    fp: &mut usize,
+    width: usize,
     code: &dyn FrameSizeTable,
     deep: &mut Option<Rc<HeapFrame<S>>>,
     metrics: &mut Metrics,
 ) -> Rc<HeapFrame<S>> {
-    let frames: Vec<_> = walker::walk_live(buf, 0, fp, code).collect();
+    let frames: Vec<_> = walker::walk_live(buf, 0, *fp, code).collect();
     for f in frames.iter().rev() {
         metrics.heap_frames_allocated += 1;
         metrics.heap_slots_allocated += f.size() as u64;
         metrics.slots_copied += f.size() as u64;
         *deep = Some(HeapFrame::new(deep.take(), buf[f.base..f.top].to_vec()));
     }
+    let width = width.min(buf.len() - *fp);
+    for i in 0..width {
+        buf[i] = buf[*fp + i].clone();
+    }
+    metrics.slots_copied += width as u64;
+    *fp = 0;
     deep.clone().expect("at least the base frame migrated")
 }
 
@@ -148,8 +234,7 @@ mod tests {
         let a = HeapFrame::<TestSlot>::new(None, vec![TestSlot::Empty; 2]);
         let b = HeapFrame::new(Some(a.clone()), vec![TestSlot::Empty; 3]);
         let c = HeapFrame::new(Some(b.clone()), vec![TestSlot::Empty; 5]);
-        assert_eq!(c.chain_len(), 3);
-        assert_eq!(c.chain_slots(), 10);
-        assert_eq!(a.chain_len(), 1);
+        assert_eq!(c.footprint(), (3, 10));
+        assert_eq!(a.footprint(), (1, 2));
     }
 }

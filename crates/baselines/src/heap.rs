@@ -14,33 +14,11 @@
 use std::rc::Rc;
 
 use segstack_core::{
-    CodeAddr, Config, Continuation, ControlStack, KontRepr, Metrics, ReturnAddress, StackError,
+    CodeAddr, Config, Continuation, ControlStack, Metrics, Resume, ReturnAddress, StackError,
     StackSlot, StackStats,
 };
 
-use crate::frames::HeapFrame;
-
-/// Continuation representation of the heap model: a pointer to the caller
-/// chain plus the resume address. Capture and reinstatement are O(1).
-#[derive(Debug)]
-struct HeapKont<S: StackSlot> {
-    frame: Rc<HeapFrame<S>>,
-    ra: CodeAddr,
-}
-
-impl<S: StackSlot> KontRepr<S> for HeapKont<S> {
-    fn retained_slots(&self) -> usize {
-        self.frame.chain_slots()
-    }
-
-    fn chain_len(&self) -> usize {
-        self.frame.chain_len()
-    }
-
-    fn strategy(&self) -> &'static str {
-        "heap"
-    }
-}
+use crate::frames::{FrameKont, HeapFrame};
 
 /// Control stack strategy that allocates every activation record in the
 /// heap (Figure 1).
@@ -65,15 +43,15 @@ impl<S: StackSlot> KontRepr<S> for HeapKont<S> {
 #[derive(Debug)]
 pub struct HeapStack<S: StackSlot> {
     cur: Rc<HeapFrame<S>>,
+    cfg: Config,
     metrics: Metrics,
 }
 
 impl<S: StackSlot> HeapStack<S> {
-    /// Creates a heap-model stack. The configuration is accepted for
-    /// interface uniformity; the heap model has no segments, bounds or
-    /// checks to configure.
-    pub fn new(_cfg: Config) -> Self {
-        HeapStack { cur: Self::initial_frame(), metrics: Metrics::new() }
+    /// Creates a heap-model stack. Of the configuration only the frame
+    /// bound applies: the heap model has no segments or overflow checks.
+    pub fn new(cfg: Config) -> Self {
+        HeapStack { cur: Self::initial_frame(), cfg, metrics: Metrics::new() }
     }
 
     fn initial_frame() -> Rc<HeapFrame<S>> {
@@ -82,23 +60,7 @@ impl<S: StackSlot> HeapStack<S> {
 
     /// Depth of the current frame chain (including the initial frame).
     pub fn depth(&self) -> usize {
-        self.cur.chain_len()
-    }
-
-    /// Ensures the current frame is privately owned before execution
-    /// writes into it. "The frame cannot be reused or modified" once it is
-    /// part of a captured continuation (§2): returning or re-entering into
-    /// a frame some continuation still references clones it first, so the
-    /// continuation's view stays frozen. The cost is bounded by the frame
-    /// size, never by the stack depth.
-    fn make_private(&mut self) {
-        if Rc::strong_count(&self.cur) > 1 {
-            let slots = self.cur.slots.borrow().clone();
-            self.metrics.heap_frames_allocated += 1;
-            self.metrics.heap_slots_allocated += slots.len() as u64;
-            self.metrics.slots_copied += slots.len() as u64;
-            self.cur = HeapFrame::new(self.cur.link.clone(), slots);
-        }
+        self.cur.footprint().0
     }
 }
 
@@ -129,32 +91,19 @@ impl<S: StackSlot> ControlStack<S> for HeapStack<S> {
         _check: bool,
     ) -> Result<(), StackError> {
         self.metrics.calls += 1;
-        let mut slots = Vec::with_capacity(1 + nargs);
-        slots.push(S::from_return_address(ReturnAddress::Code(ra)));
-        for j in 0..nargs {
-            slots.push(self.cur.get(d + 1 + j));
-        }
-        self.metrics.slots_copied += nargs as u64;
-        self.metrics.heap_frames_allocated += 1;
-        self.metrics.heap_slots_allocated += (1 + nargs) as u64;
-        self.cur = HeapFrame::new(Some(self.cur.clone()), slots);
+        self.cfg.check_frame(d, nargs)?;
+        let ra = S::from_return_address(ReturnAddress::Code(ra));
+        self.cur = self.cur.callee(Some(self.cur.clone()), ra, d + 1, nargs, &mut self.metrics);
         Ok(())
     }
 
     fn tail_call(&mut self, src: usize, nargs: usize) {
         self.metrics.tail_calls += 1;
-        // A linked frame may be shared with a captured continuation, so it
-        // can never be reused: proper tail calls still allocate (§2 — "the
-        // frame cannot be reused or modified").
-        let mut slots = Vec::with_capacity(1 + nargs);
-        slots.push(self.cur.get(0));
-        for j in 0..nargs {
-            slots.push(self.cur.get(src + j));
-        }
-        self.metrics.slots_copied += nargs as u64;
-        self.metrics.heap_frames_allocated += 1;
-        self.metrics.heap_slots_allocated += (1 + nargs) as u64;
-        self.cur = HeapFrame::new(self.cur.link.clone(), slots);
+        // Even a tail call allocates: the frame may be shared with a
+        // captured continuation (§2 — "the frame cannot be reused or
+        // modified").
+        let ra = self.cur.get(0);
+        self.cur = self.cur.callee(self.cur.link.clone(), ra, src, nargs, &mut self.metrics);
     }
 
     fn ret(&mut self) -> Result<ReturnAddress, StackError> {
@@ -168,7 +117,7 @@ impl<S: StackSlot> ControlStack<S> for HeapStack<S> {
                 // of the heap model.
                 let link = self.cur.link.clone().expect("a code return address implies a caller");
                 self.cur = link;
-                self.make_private();
+                HeapFrame::make_private(&mut self.cur, &mut self.metrics);
                 Ok(ra)
             }
             ReturnAddress::Exit => Ok(ra),
@@ -183,36 +132,20 @@ impl<S: StackSlot> ControlStack<S> for HeapStack<S> {
         match ra {
             ReturnAddress::Code(ra) => {
                 let frame = self.cur.link.clone().expect("a code return address implies a caller");
-                self.metrics.stack_records_allocated += 1;
-                Continuation::from_repr(Rc::new(HeapKont { frame, ra }))
+                FrameKont::capture(self.name(), frame, ra, &mut self.metrics)
             }
             ReturnAddress::Exit => Continuation::exit(),
             ReturnAddress::Underflow => unreachable!("the heap model has no underflow handler"),
         }
     }
 
-    fn reinstate(&mut self, k: &Continuation<S>) -> Result<ReturnAddress, StackError> {
-        // `call/1cc`: take the inner continuation out of a one-shot
-        // wrapper; a spent wrapper errors before any state changes.
-        let taken;
-        let k = match k.unwrap_one_shot() {
-            None => k,
-            Some(Err(e)) => return Err(e),
-            Some(Ok(inner)) => {
-                taken = inner;
-                &taken
-            }
-        };
-        self.metrics.reinstatements += 1;
-        if k.is_exit() {
-            self.cur = Self::initial_frame();
+    fn resume(&mut self, r: Resume<'_, S>) -> Result<ReturnAddress, StackError> {
+        let Some(kont) = r.record::<FrameKont<S>>(self.name())? else {
+            self.reset();
             return Ok(ReturnAddress::Exit);
-        }
-        let kont = k
-            .downcast_ref::<HeapKont<S>>()
-            .ok_or(StackError::ForeignContinuation { strategy: "heap" })?;
+        };
         self.cur = kont.frame.clone();
-        self.make_private();
+        HeapFrame::make_private(&mut self.cur, &mut self.metrics);
         Ok(ReturnAddress::Code(kont.ra))
     }
 
@@ -225,10 +158,7 @@ impl<S: StackSlot> ControlStack<S> for HeapStack<S> {
     }
 
     fn stats(&self) -> StackStats {
-        let (chain_records, chain_slots) = match &self.cur.link {
-            Some(f) => (f.chain_len(), f.chain_slots()),
-            None => (0, 0),
-        };
+        let (chain_records, chain_slots) = self.cur.link.as_ref().map_or((0, 0), |f| f.footprint());
         StackStats {
             chain_records,
             chain_slots,
@@ -341,19 +271,6 @@ mod tests {
         let (code, mut stack) = setup();
         let max_chain = sim::looper_workload(&mut stack, &code, 1000, 4);
         assert_eq!(max_chain, 1, "heap-model looper keeps a constant chain");
-    }
-
-    #[test]
-    fn foreign_continuation_is_rejected() {
-        let (code, mut stack) = setup();
-        let seg_code: Rc<dyn segstack_core::FrameSizeTable> = code.clone();
-        let mut seg =
-            segstack_core::SegmentedStack::<TestSlot>::new(Config::default(), seg_code).unwrap();
-        let k = sim::capture_at_depth(&mut seg, &code, 3, 4);
-        assert_eq!(
-            stack.reinstate(&k).unwrap_err(),
-            StackError::ForeignContinuation { strategy: "heap" }
-        );
     }
 
     #[test]

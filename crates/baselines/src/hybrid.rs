@@ -13,35 +13,11 @@
 use std::rc::Rc;
 
 use segstack_core::{
-    CodeAddr, Config, Continuation, ControlStack, FrameSizeTable, KontRepr, Metrics, ReturnAddress,
+    CodeAddr, Config, Continuation, ControlStack, FrameSizeTable, Metrics, Resume, ReturnAddress,
     StackError, StackSlot, StackStats,
 };
 
-use crate::frames::{self, HeapFrame};
-
-/// Continuation representation of the hybrid model: the head of the heap
-/// frame list plus the resume address. Because frames were *moved* (not
-/// copied) into the heap, capture after the first one is O(1) until new
-/// stack frames accumulate.
-#[derive(Debug)]
-struct HybridKont<S: StackSlot> {
-    frame: Rc<HeapFrame<S>>,
-    ra: CodeAddr,
-}
-
-impl<S: StackSlot> KontRepr<S> for HybridKont<S> {
-    fn retained_slots(&self) -> usize {
-        self.frame.chain_slots()
-    }
-
-    fn chain_len(&self) -> usize {
-        self.frame.chain_len()
-    }
-
-    fn strategy(&self) -> &'static str {
-        "hybrid"
-    }
-}
+use crate::frames::{self, FrameKont, HeapFrame};
 
 /// Where execution currently lives.
 #[derive(Debug)]
@@ -54,7 +30,10 @@ enum Mode<S: StackSlot> {
 }
 
 /// Control-stack strategy with stack allocation and migrate-to-heap
-/// continuation capture (the Clinger et al. hybrid).
+/// continuation capture (the Clinger et al. hybrid). Its continuation is the
+/// head of the heap frame list plus the resume address; because frames were
+/// *moved* (not copied) into the heap, capture after the first one is O(1)
+/// until new stack frames accumulate.
 ///
 /// `cfg.segment_slots()` is the stack size; the model itself requires it to
 /// be small "so that the cost of creating a continuation is bounded" (§6) —
@@ -122,38 +101,30 @@ impl<S: StackSlot> HybridStack<S> {
     }
 
     /// Migrates every stack frame below `fp` into the heap chain beneath
-    /// the stack, and returns its new head (the live frame's caller).
-    fn migrate_below(&mut self) -> Rc<HeapFrame<S>> {
+    /// the stack, slides `width` slots of the live frame to the base, and
+    /// returns the chain's new head (the live frame's caller).
+    fn migrate_below(&mut self, width: usize) -> Rc<HeapFrame<S>> {
         let Mode::Stack { deep } = &mut self.mode else {
             unreachable!("migration only happens in stack mode")
         };
-        frames::migrate_below(&self.buf, self.fp, &*self.code, deep, &mut self.metrics)
+        frames::migrate_below(
+            &mut self.buf,
+            &mut self.fp,
+            width,
+            &*self.code,
+            deep,
+            &mut self.metrics,
+        )
     }
 
-    /// Ensures the heap frame we are about to execute in is privately
-    /// owned: if a captured continuation still references it, clone it so
-    /// the continuation's view stays frozen (frames in the heap list are
-    /// immutable once shared, §6). Bounded by the frame size.
-    fn make_private_heap(&mut self) {
-        let Mode::Heap(h) = &self.mode else { return };
-        if Rc::strong_count(h) > 1 {
-            let slots = h.slots.borrow().clone();
-            self.metrics.heap_frames_allocated += 1;
-            self.metrics.heap_slots_allocated += slots.len() as u64;
-            self.metrics.slots_copied += slots.len() as u64;
-            self.mode = Mode::Heap(HeapFrame::new(h.link.clone(), slots));
+    /// Runs in the heap frame `h`, cloned first if a captured continuation
+    /// still references it once the current mode is gone (frames in the
+    /// heap list are immutable once shared, §6).
+    fn run_in_heap(&mut self, h: Rc<HeapFrame<S>>) {
+        self.mode = Mode::Heap(h);
+        if let Mode::Heap(h) = &mut self.mode {
+            HeapFrame::make_private(h, &mut self.metrics);
         }
-    }
-
-    /// Slides `width` slots of the live frame from `fp` down to the stack
-    /// base after a migration.
-    fn slide_live_frame(&mut self, width: usize) {
-        let width = width.min(self.buf.len() - self.fp);
-        for i in 0..width {
-            self.buf[i] = self.buf[self.fp + i].clone();
-        }
-        self.metrics.slots_copied += width as u64;
-        self.fp = 0;
     }
 }
 
@@ -185,10 +156,7 @@ impl<S: StackSlot> ControlStack<S> for HybridStack<S> {
     ) -> Result<(), StackError> {
         debug_assert!(d >= 1);
         self.metrics.calls += 1;
-        let bound = self.cfg.frame_bound();
-        if d > bound || 1 + nargs > bound {
-            return Err(StackError::FrameTooLarge { requested: d.max(1 + nargs), bound });
-        }
+        self.cfg.check_frame(d, nargs)?;
         match &self.mode {
             Mode::Heap(h) => {
                 // Push the callee at the stack base; the heap frame becomes
@@ -204,28 +172,22 @@ impl<S: StackSlot> ControlStack<S> for HybridStack<S> {
                 Ok(())
             }
             Mode::Stack { .. } => {
-                let new_fp = self.fp + d;
                 if check {
                     self.metrics.checks_executed += 1;
-                    if new_fp > self.esp() {
+                    if self.fp + d > self.esp() {
                         // Stack overflow: migrate everything below the live
                         // frame into the heap and slide the live frame (and
                         // the staged partial frame) to the base.
                         self.metrics.overflows += 1;
                         if self.fp > 0 {
-                            self.migrate_below();
-                            self.slide_live_frame(d + 1 + nargs);
+                            self.migrate_below(d + 1 + nargs);
                         }
-                        let new_fp = self.fp + d;
-                        self.buf[new_fp] = S::from_return_address(ReturnAddress::Code(ra));
-                        self.fp = new_fp;
-                        return Ok(());
                     }
                 } else {
                     self.metrics.checks_elided += 1;
                 }
-                self.buf[new_fp] = S::from_return_address(ReturnAddress::Code(ra));
-                self.fp = new_fp;
+                self.fp += d;
+                self.buf[self.fp] = S::from_return_address(ReturnAddress::Code(ra));
                 Ok(())
             }
         }
@@ -245,16 +207,8 @@ impl<S: StackSlot> ControlStack<S> for HybridStack<S> {
             Mode::Heap(h) => {
                 // Heap frames may be shared with captured continuations and
                 // can never be reused.
-                let h = h.clone();
-                let mut slots = Vec::with_capacity(1 + nargs);
-                slots.push(h.get(0));
-                for j in 0..nargs {
-                    slots.push(h.get(src + j));
-                }
-                self.metrics.slots_copied += nargs as u64;
-                self.metrics.heap_frames_allocated += 1;
-                self.metrics.heap_slots_allocated += (1 + nargs) as u64;
-                self.mode = Mode::Heap(HeapFrame::new(h.link.clone(), slots));
+                let callee = h.callee(h.link.clone(), h.get(0), src, nargs, &mut self.metrics);
+                self.mode = Mode::Heap(callee);
             }
         }
     }
@@ -274,8 +228,7 @@ impl<S: StackSlot> ControlStack<S> for HybridStack<S> {
                             // Returning off the stack into the heap chain.
                             let h =
                                 deep.clone().expect("stack base with code ra implies a heap chain");
-                            self.mode = Mode::Heap(h);
-                            self.make_private_heap();
+                            self.run_in_heap(h);
                         } else {
                             self.fp -= self.code.displacement(r);
                         }
@@ -293,8 +246,7 @@ impl<S: StackSlot> ControlStack<S> for HybridStack<S> {
                 match ra {
                     ReturnAddress::Code(_) => {
                         let link = h.link.clone().expect("a code return address implies a caller");
-                        self.mode = Mode::Heap(link);
-                        self.make_private_heap();
+                        self.run_in_heap(link);
                         Ok(ra)
                     }
                     ReturnAddress::Exit => Ok(ra),
@@ -315,8 +267,7 @@ impl<S: StackSlot> ControlStack<S> for HybridStack<S> {
                 match ra {
                     ReturnAddress::Code(ra) => {
                         let frame = h.link.clone().expect("a code return address implies a caller");
-                        self.metrics.stack_records_allocated += 1;
-                        Continuation::from_repr(Rc::new(HybridKont { frame, ra }))
+                        FrameKont::capture(self.name(), frame, ra, &mut self.metrics)
                     }
                     _ => Continuation::exit(),
                 }
@@ -330,48 +281,27 @@ impl<S: StackSlot> ControlStack<S> for HybridStack<S> {
                     // existing heap chain (or exit) — O(1), no migration.
                     return Continuation::exit();
                 };
-                if self.fp == 0 {
-                    let frame = deep.clone().expect("stack base with code ra implies a heap chain");
-                    self.metrics.stack_records_allocated += 1;
-                    return Continuation::from_repr(Rc::new(HybridKont { frame, ra: live_ra }));
-                }
-                // Migrate the frames below the live frame into the heap;
-                // they are never copied back.
-                let head = self.migrate_below();
-                self.slide_live_frame(self.cfg.frame_bound());
-                self.metrics.stack_records_allocated += 1;
-                Continuation::from_repr(Rc::new(HybridKont { frame: head, ra: live_ra }))
+                let frame = if self.fp == 0 {
+                    deep.clone().expect("stack base with code ra implies a heap chain")
+                } else {
+                    // Migrate the frames below the live frame into the heap;
+                    // they are never copied back.
+                    self.migrate_below(self.cfg.frame_bound())
+                };
+                FrameKont::capture(self.name(), frame, live_ra, &mut self.metrics)
             }
         }
     }
 
-    fn reinstate(&mut self, k: &Continuation<S>) -> Result<ReturnAddress, StackError> {
-        // `call/1cc`: take the inner continuation out of a one-shot
-        // wrapper; a spent wrapper errors before any state changes.
-        let taken;
-        let k = match k.unwrap_one_shot() {
-            None => k,
-            Some(Err(e)) => return Err(e),
-            Some(Ok(inner)) => {
-                taken = inner;
-                &taken
-            }
-        };
-        self.metrics.reinstatements += 1;
-        if k.is_exit() {
-            self.fp = 0;
-            self.buf[0] = S::from_return_address(ReturnAddress::Exit);
-            self.mode = Mode::Stack { deep: None };
+    fn resume(&mut self, r: Resume<'_, S>) -> Result<ReturnAddress, StackError> {
+        let Some(kont) = r.record::<FrameKont<S>>(self.name())? else {
+            self.reset();
             return Ok(ReturnAddress::Exit);
-        }
-        let kont = k
-            .downcast_ref::<HybridKont<S>>()
-            .ok_or(StackError::ForeignContinuation { strategy: "hybrid" })?;
+        };
         // Execution resumes *in* the heap frame; nothing is copied back to
         // the *stack*, though a shared frame is cloned within the heap so
         // the continuation can be re-entered again.
-        self.mode = Mode::Heap(kont.frame.clone());
-        self.make_private_heap();
+        self.run_in_heap(kont.frame.clone());
         Ok(ReturnAddress::Code(kont.ra))
     }
 
@@ -384,14 +314,11 @@ impl<S: StackSlot> ControlStack<S> for HybridStack<S> {
     }
 
     fn stats(&self) -> StackStats {
-        let (chain_records, chain_slots) = match &self.mode {
-            Mode::Stack { deep: Some(h) } => (h.chain_len(), h.chain_slots()),
-            Mode::Stack { deep: None } => (0, 0),
-            Mode::Heap(h) => match &h.link {
-                Some(l) => (l.chain_len(), l.chain_slots()),
-                None => (0, 0),
-            },
+        let chain = match &self.mode {
+            Mode::Stack { deep } => deep,
+            Mode::Heap(h) => &h.link,
         };
+        let (chain_records, chain_slots) = chain.as_ref().map_or((0, 0), |f| f.footprint());
         let (used, free) = match &self.mode {
             Mode::Stack { .. } => (self.fp, self.esp().saturating_sub(self.fp)),
             Mode::Heap(_) => (0, self.esp()),
@@ -537,17 +464,6 @@ mod tests {
     fn capture_at_toplevel_is_exit() {
         let (_code, mut stack) = setup(512);
         assert!(stack.capture().is_exit());
-    }
-
-    #[test]
-    fn foreign_continuation_is_rejected() {
-        let (code, mut stack) = setup(512);
-        let mut heap = crate::heap::HeapStack::<TestSlot>::new(Config::default());
-        let k = sim::capture_at_depth(&mut heap, &code, 3, 4);
-        assert_eq!(
-            stack.reinstate(&k).unwrap_err(),
-            StackError::ForeignContinuation { strategy: "hybrid" }
-        );
     }
 
     #[test]

@@ -13,36 +13,16 @@
 use std::rc::Rc;
 
 use segstack_core::{
-    CodeAddr, Config, Continuation, ControlStack, FrameSizeTable, KontRepr, Metrics, ReturnAddress,
+    CodeAddr, Config, Continuation, ControlStack, FrameSizeTable, Metrics, Resume, ReturnAddress,
     StackError, StackSlot, StackStats,
 };
 
-use crate::frames::{self, HeapFrame};
-
-/// Continuation representation: the head of the migrated frame list plus
-/// the resume address (shared with any number of captures).
-#[derive(Debug)]
-struct IncKont<S: StackSlot> {
-    frame: Rc<HeapFrame<S>>,
-    ra: CodeAddr,
-}
-
-impl<S: StackSlot> KontRepr<S> for IncKont<S> {
-    fn retained_slots(&self) -> usize {
-        self.frame.chain_slots()
-    }
-
-    fn chain_len(&self) -> usize {
-        self.frame.chain_len()
-    }
-
-    fn strategy(&self) -> &'static str {
-        "incremental"
-    }
-}
+use crate::frames::{self, FrameKont, HeapFrame};
 
 /// Control-stack strategy with migrate-on-capture and copy-one-frame-back
-/// on underflow (Clinger et al.'s "incremental stack/heap").
+/// on underflow (Clinger et al.'s "incremental stack/heap"). Its
+/// continuation is the head of the migrated frame list plus the resume
+/// address.
 ///
 /// `cfg.segment_slots()` is the stack size.
 ///
@@ -97,9 +77,17 @@ impl<S: StackSlot> IncrementalStack<S> {
     }
 
     /// Migrates every stack frame below `fp` into the heap chain beneath
-    /// the stack, and returns its new head.
-    fn migrate_below(&mut self) -> Rc<HeapFrame<S>> {
-        frames::migrate_below(&self.buf, self.fp, &*self.code, &mut self.deep, &mut self.metrics)
+    /// the stack, slides `width` slots of the live frame to the base, and
+    /// returns the chain's new head.
+    fn migrate_below(&mut self, width: usize) -> Rc<HeapFrame<S>> {
+        frames::migrate_below(
+            &mut self.buf,
+            &mut self.fp,
+            width,
+            &*self.code,
+            &mut self.deep,
+            &mut self.metrics,
+        )
     }
 
     /// Copies heap frame `h` onto the stack base and makes it current: the
@@ -112,7 +100,6 @@ impl<S: StackSlot> IncrementalStack<S> {
             self.buf[i] = s.clone();
         }
         self.metrics.slots_copied += slots.len() as u64;
-        self.metrics.underflows += 1;
         self.fp = 0;
         self.deep = h.link.clone();
     }
@@ -140,36 +127,22 @@ impl<S: StackSlot> ControlStack<S> for IncrementalStack<S> {
     ) -> Result<(), StackError> {
         debug_assert!(d >= 1);
         self.metrics.calls += 1;
-        let bound = self.cfg.frame_bound();
-        if d > bound || 1 + nargs > bound {
-            return Err(StackError::FrameTooLarge { requested: d.max(1 + nargs), bound });
-        }
-        let new_fp = self.fp + d;
+        self.cfg.check_frame(d, nargs)?;
         if check {
             self.metrics.checks_executed += 1;
-            if new_fp > self.esp() {
+            if self.fp + d > self.esp() {
                 // Stack overflow: migrate everything below the live frame,
                 // slide the live frame (plus staged partial frame) down.
                 self.metrics.overflows += 1;
                 if self.fp > 0 {
-                    self.migrate_below();
-                    let width = (d + 1 + nargs).min(self.buf.len() - self.fp);
-                    for i in 0..width {
-                        self.buf[i] = self.buf[self.fp + i].clone();
-                    }
-                    self.metrics.slots_copied += width as u64;
-                    self.fp = 0;
+                    self.migrate_below(d + 1 + nargs);
                 }
-                let new_fp = self.fp + d;
-                self.buf[new_fp] = S::from_return_address(ReturnAddress::Code(ra));
-                self.fp = new_fp;
-                return Ok(());
             }
         } else {
             self.metrics.checks_elided += 1;
         }
-        self.buf[new_fp] = S::from_return_address(ReturnAddress::Code(ra));
-        self.fp = new_fp;
+        self.fp += d;
+        self.buf[self.fp] = S::from_return_address(ReturnAddress::Code(ra));
         Ok(())
     }
 
@@ -195,6 +168,7 @@ impl<S: StackSlot> ControlStack<S> for IncrementalStack<S> {
                         .deep
                         .clone()
                         .expect("stack base with a code return address implies a heap chain");
+                    self.metrics.underflows += 1;
                     self.install_at_base(&h);
                 } else {
                     self.fp -= self.code.displacement(r);
@@ -215,51 +189,25 @@ impl<S: StackSlot> ControlStack<S> for IncrementalStack<S> {
         let ReturnAddress::Code(live_ra) = ra else {
             return Continuation::exit();
         };
-        if self.fp == 0 {
+        let frame = if self.fp == 0 {
             // The caller chain is already fully in the heap: O(1) capture.
-            let frame = self.deep.clone().expect("code ra at base implies a chain");
-            self.metrics.stack_records_allocated += 1;
-            return Continuation::from_repr(Rc::new(IncKont { frame, ra: live_ra }));
-        }
-        let head = self.migrate_below();
-        // Slide the live frame to the base (its extent is unknown without a
-        // stack pointer; one frame bound always covers it).
-        let width = self.cfg.frame_bound().min(self.buf.len() - self.fp);
-        for i in 0..width {
-            self.buf[i] = self.buf[self.fp + i].clone();
-        }
-        self.metrics.slots_copied += width as u64;
-        self.fp = 0;
-        self.metrics.stack_records_allocated += 1;
-        Continuation::from_repr(Rc::new(IncKont { frame: head, ra: live_ra }))
+            self.deep.clone().expect("code ra at base implies a chain")
+        } else {
+            // The live frame's extent is unknown without a stack pointer;
+            // one frame bound always covers it.
+            self.migrate_below(self.cfg.frame_bound())
+        };
+        FrameKont::capture(self.name(), frame, live_ra, &mut self.metrics)
     }
 
-    fn reinstate(&mut self, k: &Continuation<S>) -> Result<ReturnAddress, StackError> {
-        // `call/1cc`: take the inner continuation out of a one-shot
-        // wrapper; a spent wrapper errors before any state changes.
-        let taken;
-        let k = match k.unwrap_one_shot() {
-            None => k,
-            Some(Err(e)) => return Err(e),
-            Some(Ok(inner)) => {
-                taken = inner;
-                &taken
-            }
-        };
-        self.metrics.reinstatements += 1;
-        if k.is_exit() {
-            self.fp = 0;
-            self.buf[0] = S::from_return_address(ReturnAddress::Exit);
-            self.deep = None;
+    fn resume(&mut self, r: Resume<'_, S>) -> Result<ReturnAddress, StackError> {
+        let Some(kont) = r.record::<FrameKont<S>>(self.name())? else {
+            self.reset();
             return Ok(ReturnAddress::Exit);
-        }
-        let kont = k
-            .downcast_ref::<IncKont<S>>()
-            .ok_or(StackError::ForeignContinuation { strategy: "incremental" })?;
+        };
         // Copy the topmost saved frame onto the stack; the rest arrives
         // incrementally as returns pull frames back.
         self.install_at_base(&kont.frame);
-        self.metrics.underflows -= 1; // install counted one; reinstate is explicit
         Ok(ReturnAddress::Code(kont.ra))
     }
 
@@ -272,10 +220,7 @@ impl<S: StackSlot> ControlStack<S> for IncrementalStack<S> {
     }
 
     fn stats(&self) -> StackStats {
-        let (chain_records, chain_slots) = match &self.deep {
-            Some(h) => (h.chain_len(), h.chain_slots()),
-            None => (0, 0),
-        };
+        let (chain_records, chain_slots) = self.deep.as_ref().map_or((0, 0), |f| f.footprint());
         StackStats {
             chain_records,
             chain_slots,
@@ -371,16 +316,5 @@ mod tests {
         let k2 = stack.capture(); // chain already in heap
         assert_eq!(stack.metrics().slots_copied, copied, "second capture copies nothing");
         assert_eq!(k1.retained_slots(), k2.retained_slots());
-    }
-
-    #[test]
-    fn foreign_continuation_is_rejected() {
-        let (code, mut stack) = setup(512);
-        let mut heap = crate::heap::HeapStack::<TestSlot>::new(Config::default());
-        let k = sim::capture_at_depth(&mut heap, &code, 3, 4);
-        assert_eq!(
-            stack.reinstate(&k).unwrap_err(),
-            StackError::ForeignContinuation { strategy: "incremental" }
-        );
     }
 }

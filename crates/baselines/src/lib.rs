@@ -237,6 +237,44 @@ mod tests {
         }
     }
 
+    /// One frame bound for all six: a displacement or a partial frame past
+    /// it is `FrameTooLarge`, and the stack keeps working.
+    #[test]
+    fn every_strategy_enforces_the_frame_bound() {
+        for s in Strategy::ALL {
+            let code = Rc::new(TestCode::new());
+            let cfg = Config::builder().segment_slots(512).frame_bound(16).build().unwrap();
+            let mut stack: Box<dyn ControlStack<TestSlot>> = s.build(cfg, code.clone()).unwrap();
+            let too_large = Err(StackError::FrameTooLarge { requested: 17, bound: 16 });
+            assert_eq!(stack.call(17, code.ret_point(17), 1, true), too_large, "{s}: displacement");
+            assert_eq!(stack.call(4, code.ret_point(4), 16, true), too_large, "{s}: partial frame");
+            sim::push_frames(&mut *stack, &code, 3, 16);
+            assert_eq!(sim::unwind_all(&mut *stack), 4, "{s}: a rejected call changes nothing");
+        }
+    }
+
+    /// A continuation reinstates only on the strategy that captured it.
+    /// The heap, hybrid and incremental models share one record type, so
+    /// this is what tells their continuations apart.
+    #[test]
+    fn every_strategy_rejects_the_others_continuations() {
+        let code = Rc::new(TestCode::new());
+        let cfg = Config::builder().segment_slots(512).frame_bound(16).build().unwrap();
+        let build = |s: Strategy| s.build::<TestSlot>(cfg.clone(), code.clone()).unwrap();
+        for from in Strategy::ALL {
+            let k = sim::capture_at_depth(&mut *build(from), &code, 3, 4);
+            assert_eq!(k.strategy(), from.name());
+            for to in Strategy::ALL.into_iter().filter(|&to| to != from) {
+                let mut stack = build(to);
+                assert_eq!(
+                    stack.reinstate(&k),
+                    Err(StackError::ForeignContinuation { strategy: to.name() }),
+                    "{from} → {to}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn looper_is_constant_space_on_all_strategies() {
         for s in Strategy::ALL {

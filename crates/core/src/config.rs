@@ -61,14 +61,34 @@ impl Config {
         self.frame_bound
     }
 
+    /// Checks a call against the frame bound: the caller's displacement `d`
+    /// and the callee's partial frame (its return-address word and `nargs`
+    /// arguments) must each fit. Every strategy's
+    /// [`call`](crate::ControlStack::call) makes this check.
+    ///
+    /// # Errors
+    ///
+    /// [`StackError::FrameTooLarge`] with the larger of the two sizes.
+    #[inline]
+    pub fn check_frame(&self, d: usize, nargs: usize) -> Result<(), StackError> {
+        let bound = self.frame_bound;
+        if d > bound || 1 + nargs > bound {
+            return Err(StackError::FrameTooLarge { requested: d.max(1 + nargs), bound });
+        }
+        Ok(())
+    }
+
     /// The end-of-stack reserve: `esp` sits this many slots before the
     /// segment end. Room for two frames, per Figure 8.
     pub fn esp_reserve(&self) -> usize {
         2 * self.frame_bound
     }
 
-    /// Optional hard cap on total live stack-segment memory (slots); used
-    /// for failure injection. `None` means unlimited.
+    /// Optional cap on the slots of all the fresh segments a segmented
+    /// stack allocates over its life; used for failure injection. Every
+    /// fresh segment is charged and nothing is refunded (a pooled segment
+    /// that is reused costs nothing), so this bounds total allocation, not
+    /// live memory. `None` means unlimited.
     pub fn max_total_slots(&self) -> Option<usize> {
         self.max_total_slots
     }
@@ -143,7 +163,8 @@ impl ConfigBuilder {
         self
     }
 
-    /// Caps total live stack memory (for failure-injection tests).
+    /// Caps the slots of all fresh segments allocated over the stack's life
+    /// (for failure-injection tests); see [`Config::max_total_slots`].
     pub fn max_total_slots(mut self, slots: usize) -> Self {
         self.max_total_slots = Some(Some(slots));
         self

@@ -26,8 +26,11 @@ pub enum StackError {
         /// The configured bound.
         bound: usize,
     },
-    /// The segment allocator refused to allocate (configured hard cap on
-    /// total stack memory, used for failure-injection tests).
+    /// The segment allocator refused to allocate (the configured cap on
+    /// total segment allocation, [`Config::max_total_slots`], used for
+    /// failure-injection tests).
+    ///
+    /// [`Config::max_total_slots`]: crate::Config::max_total_slots
     OutOfStackMemory {
         /// Slots requested.
         requested: usize,

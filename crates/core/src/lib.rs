@@ -83,7 +83,7 @@ pub use config::{Config, ConfigBuilder};
 pub use drops::{defer_drop, defer_slots};
 pub use error::StackError;
 pub use metrics::Metrics;
-pub use record::{Continuation, ExitKont, KontRepr};
+pub use record::{Continuation, ExitKont, KontRepr, Resume};
 pub use segment::{Buffer, SegmentAllocator};
 pub use segmented::SegmentedStack;
 pub use slot::{StackSlot, TestSlot};

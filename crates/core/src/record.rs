@@ -4,8 +4,8 @@
 //! size, and the return address of its topmost frame (§3–4). Each strategy
 //! in this workspace has its own record representation, so the public
 //! [`Continuation`] type wraps a strategy-specific representation behind the
-//! [`KontRepr`] trait. Strategies downcast on reinstatement
-//! ([`Continuation::downcast_ref`]); handing a continuation to the wrong
+//! [`KontRepr`] trait. A strategy receives the record to reinstate as a
+//! [`Resume`] ([`Resume::record`]); handing a continuation to the wrong
 //! strategy yields
 //! [`StackError::ForeignContinuation`](crate::StackError::ForeignContinuation).
 
@@ -24,13 +24,14 @@ use crate::slot::StackSlot;
 /// regardless of which strategy produced it. A representation is [`Any`],
 /// so its strategy can downcast it and the deferred-drop queue can hold it.
 pub trait KontRepr<S: StackSlot>: Any + fmt::Debug {
-    /// Total slots retained by this continuation, including everything
-    /// reachable through its link chain. This is the memory-accounting
-    /// figure behind experiment E11 (Danvy's duplication concern, §6).
-    fn retained_slots(&self) -> usize;
+    /// What this record holds apart from its link: the number of records it
+    /// stands for (a heap-frame record stands for its whole frame chain) and
+    /// the slots they retain. Summed down the chain by
+    /// [`Continuation::chain_len`] and [`Continuation::retained_slots`].
+    fn footprint(&self) -> (usize, usize);
 
-    /// Number of records in the chain up to (and excluding) the exit record.
-    fn chain_len(&self) -> usize;
+    /// The next record down the chain, or `None` where the chain ends.
+    fn link(&self) -> Option<Continuation<S>>;
 
     /// Name of the strategy that created this continuation.
     fn strategy(&self) -> &'static str;
@@ -84,6 +85,21 @@ impl<S: StackSlot> Continuation<S> {
         (&*self.repr as &dyn Any).downcast_ref()
     }
 
+    /// This record as a `T` of `strategy`, or `None` for the exit
+    /// continuation. See [`Resume::record`].
+    pub(crate) fn record<T: KontRepr<S>>(
+        &self,
+        strategy: &'static str,
+    ) -> Result<Option<&T>, StackError> {
+        if self.is_exit() {
+            return Ok(None);
+        }
+        match self.downcast_ref::<T>() {
+            Some(r) if r.strategy() == strategy => Ok(Some(r)),
+            _ => Err(StackError::ForeignContinuation { strategy }),
+        }
+    }
+
     /// The handle to the underlying representation, for
     /// [`defer_drop`](crate::defer_drop): a record reaches the queue as it
     /// is, without a box.
@@ -96,15 +112,33 @@ impl<S: StackSlot> Continuation<S> {
         Rc::ptr_eq(&self.repr, &other.repr)
     }
 
-    /// Total slots retained by the continuation's chain. See
-    /// [`KontRepr::retained_slots`].
+    /// Total slots retained by the continuation's chain: the
+    /// memory-accounting figure behind experiment E11 (Danvy's duplication
+    /// concern, §6).
     pub fn retained_slots(&self) -> usize {
-        self.repr.retained_slots()
+        self.chain_footprint().1
     }
 
-    /// Number of records in the continuation's chain.
+    /// Number of records in the continuation's chain, the exit record
+    /// excluded.
     pub fn chain_len(&self) -> usize {
-        self.repr.chain_len()
+        self.chain_footprint().0
+    }
+
+    /// Sums [`KontRepr::footprint`] down the links. Iterative: record chains
+    /// grow one record per overflow, so a deep recursion can leave hundreds
+    /// of thousands of links, and recursing here would overflow the native
+    /// stack this crate exists to avoid.
+    fn chain_footprint(&self) -> (usize, usize) {
+        let (mut records, mut slots) = (0, 0);
+        let mut k = Some(self.clone());
+        while let Some(c) = k {
+            let (r, s) = c.repr.footprint();
+            records += r;
+            slots += s;
+            k = c.repr.link();
+        }
+        (records, slots)
     }
 
     /// The strategy that created this continuation (`"segmented"`,
@@ -134,10 +168,10 @@ impl<S: StackSlot> Continuation<S> {
     }
 
     /// Number of live handles to the underlying representation. A count of
-    /// one means the caller holds the only handle, so a strategy may
-    /// consume the representation in place (the safe-Rust analogue of the
-    /// paper's "no other reference to this stack record" argument).
-    pub fn repr_strong_count(&self) -> usize {
+    /// one means the caller holds the only handle, so an owned [`Resume`]
+    /// may consume the representation in place (the safe-Rust analogue of
+    /// the paper's "no other reference to this stack record" argument).
+    pub(crate) fn repr_strong_count(&self) -> usize {
         Rc::strong_count(&self.repr)
     }
 
@@ -146,8 +180,8 @@ impl<S: StackSlot> Continuation<S> {
     ///
     /// Returns `None` for ordinary continuations, `Some(Ok(inner))` on the
     /// first call, and `Some(Err(StackError::OneShotReused))` once the shot
-    /// has been spent. Strategies call this at the top of `reinstate`.
-    pub fn unwrap_one_shot(&self) -> Option<Result<Continuation<S>, StackError>> {
+    /// has been spent.
+    pub(crate) fn unwrap_one_shot(&self) -> Option<Result<Continuation<S>, StackError>> {
         let w = self.downcast_ref::<OneShotKont<S>>()?;
         Some(w.inner.borrow_mut().take().ok_or(StackError::OneShotReused))
     }
@@ -200,12 +234,13 @@ impl<S: StackSlot> fmt::Debug for OneShotKont<S> {
 }
 
 impl<S: StackSlot> KontRepr<S> for OneShotKont<S> {
-    fn retained_slots(&self) -> usize {
-        self.inner.borrow().as_ref().map_or(0, Continuation::retained_slots)
+    /// The wrapper is no record of its own; its chain is the wrapped one.
+    fn footprint(&self) -> (usize, usize) {
+        (0, 0)
     }
 
-    fn chain_len(&self) -> usize {
-        self.inner.borrow().as_ref().map_or(0, Continuation::chain_len)
+    fn link(&self) -> Option<Continuation<S>> {
+        self.inner.borrow().clone()
     }
 
     fn strategy(&self) -> &'static str {
@@ -218,16 +253,64 @@ impl<S: StackSlot> KontRepr<S> for OneShotKont<S> {
 pub struct ExitKont;
 
 impl<S: StackSlot> KontRepr<S> for ExitKont {
-    fn retained_slots(&self) -> usize {
-        0
+    fn footprint(&self) -> (usize, usize) {
+        (0, 0)
     }
 
-    fn chain_len(&self) -> usize {
-        0
+    fn link(&self) -> Option<Continuation<S>> {
+        None
     }
 
     fn strategy(&self) -> &'static str {
         "exit"
+    }
+}
+
+/// A continuation on its way into [`ControlStack::resume`]: the record to
+/// reinstate, and whether its handle dies with the reinstatement.
+///
+/// Only this crate builds one, in two places. [`ControlStack::reinstate`]
+/// takes a one-shot wrapper's shot, and that shot is owned: by the one-shot
+/// contract nothing may reinstate it again. The segmented stack's underflow
+/// handler takes its link out of the machine, and that link is owned too.
+/// A multi-shot handle is borrowed from a binding that survives the call.
+/// Only an owned record may be consumed, which is what the segmented
+/// stack's zero-copy relink does; since no strategy outside this crate can
+/// build a `Resume`, none can claim an ownership it lacks.
+///
+/// [`ControlStack::reinstate`]: crate::ControlStack::reinstate
+/// [`ControlStack::resume`]: crate::ControlStack::resume
+pub struct Resume<'a, S: StackSlot> {
+    pub(crate) k: &'a Continuation<S>,
+    pub(crate) owned: bool,
+}
+
+impl<'a, S: StackSlot> Resume<'a, S> {
+    /// Resolves `k` for reinstatement. A one-shot wrapper gives up its shot
+    /// into `shot`, which the result borrows as owned; a spent wrapper
+    /// fails with [`StackError::OneShotReused`].
+    pub(crate) fn new(
+        k: &'a Continuation<S>,
+        shot: &'a mut Option<Continuation<S>>,
+    ) -> Result<Self, StackError> {
+        Ok(match k.unwrap_one_shot() {
+            None => Resume { k, owned: false },
+            Some(taken) => Resume { k: shot.insert(taken?), owned: true },
+        })
+    }
+
+    /// The record to reinstate: `None` for the exit continuation, or the
+    /// `T` that `strategy` created.
+    ///
+    /// # Errors
+    ///
+    /// [`StackError::ForeignContinuation`] naming `strategy` if another
+    /// strategy created the continuation.
+    pub fn record<T: KontRepr<S>>(
+        &self,
+        strategy: &'static str,
+    ) -> Result<Option<&'a T>, StackError> {
+        self.k.record(strategy)
     }
 }
 

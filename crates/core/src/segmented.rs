@@ -18,7 +18,7 @@ use crate::addr::{CodeAddr, FrameSizeTable, ReturnAddress};
 use crate::config::Config;
 use crate::error::StackError;
 use crate::metrics::Metrics;
-use crate::record::{Continuation, KontRepr};
+use crate::record::{Continuation, KontRepr, Resume};
 use crate::segment::{release_slots, Buffer, SegmentAllocator};
 use crate::slot::StackSlot;
 use crate::traits::{ControlStack, StackStats};
@@ -96,48 +96,12 @@ impl<S: StackSlot> Drop for SegKont<S> {
 }
 
 impl<S: StackSlot> KontRepr<S> for SegKont<S> {
-    fn retained_slots(&self) -> usize {
-        // Iterative: record chains grow one record per overflow, so a deep
-        // recursion can leave hundreds of thousands of links — recursing
-        // here would overflow the native stack this crate exists to avoid.
-        let mut total = 0;
-        let mut link = {
-            let s = self.0.borrow();
-            total += s.size;
-            s.link.clone()
-        };
-        while let Some(k) = link {
-            match k.downcast_ref::<SegKont<S>>() {
-                Some(sk) => {
-                    let s = sk.0.borrow();
-                    total += s.size;
-                    link = s.link.clone();
-                }
-                None => {
-                    total += k.retained_slots();
-                    break;
-                }
-            }
-        }
-        total
+    fn footprint(&self) -> (usize, usize) {
+        (1, self.0.borrow().size)
     }
 
-    fn chain_len(&self) -> usize {
-        let mut n = 1;
-        let mut link = self.0.borrow().link.clone();
-        while let Some(k) = link {
-            match k.downcast_ref::<SegKont<S>>() {
-                Some(sk) => {
-                    n += 1;
-                    link = sk.0.borrow().link.clone();
-                }
-                None => {
-                    n += k.chain_len();
-                    break;
-                }
-            }
-        }
-        n
+    fn link(&self) -> Option<Continuation<S>> {
+        self.0.borrow().link.clone()
     }
 
     fn strategy(&self) -> &'static str {
@@ -151,7 +115,8 @@ impl<S: StackSlot> KontRepr<S> for SegKont<S> {
 ///   adjustment (§3), plus one register compare per checked call (Figure 8).
 /// * [`capture`](ControlStack::capture) is O(1) and copies nothing.
 /// * [`reinstate`](ControlStack::reinstate) copies at most
-///   `max(copy_bound, frame_bound)` slots, splitting larger saved segments.
+///   `max(copy_bound, frame_bound)` slots, splitting larger saved segments,
+///   and an owned, unshared record is relinked without copying.
 /// * Overflow allocates a new segment and seals the old one as a
 ///   continuation; underflow reinstates the link — so recursion depth is
 ///   unbounded and there is no overflow/underflow "bouncing" (§5).
@@ -293,6 +258,49 @@ impl<S: StackSlot> SegmentedStack<S> {
         release_slots(&self.buf, lo, self.hw + self.cfg.esp_reserve());
     }
 
+    /// Allocates a segment of at least `min_len` slots for the stack to
+    /// move to, and traces the allocation.
+    fn fresh_segment(&mut self, min_len: usize) -> Result<Buffer<S>, StackError> {
+        let reused_before = self.metrics.segments_reused;
+        let buf = self.alloc.alloc(min_len, &mut self.metrics)?;
+        let reused = self.metrics.segments_reused > reused_before;
+        emit(&self.sink, EventKind::SegmentAlloc, buf.borrow().len() as u64, reused as u64);
+        Ok(buf)
+    }
+
+    /// Moves the stack to the bottom of `buf`: releases the live buffer's
+    /// dead span from `lo` and offers that buffer to the pool, which keeps
+    /// it only if no record shares it.
+    fn move_to(&mut self, buf: Buffer<S>, lo: usize) {
+        self.release_dead_span(lo);
+        let old = std::mem::replace(&mut self.buf, buf);
+        self.alloc.retire(old);
+        self.end = self.buf.borrow().len();
+        self.base = 0;
+        self.fp = 0;
+        self.hw = 0;
+    }
+
+    /// Starts the next computation in the exit frame at the bottom of the
+    /// live buffer, or at the current base while a record shares the
+    /// buffer below it.
+    fn start_over(&mut self) {
+        if Rc::strong_count(&self.buf) == 1 {
+            self.base = 0;
+        }
+        self.fp = self.base;
+        self.hw = self.base;
+        self.buf.borrow_mut()[self.base] = S::from_return_address(ReturnAddress::Exit);
+    }
+
+    /// Resumes in the exit routine at the current base: the chain ends.
+    fn resume_exit(&mut self) -> ReturnAddress {
+        self.buf.borrow_mut()[self.base] = S::from_return_address(ReturnAddress::Exit);
+        self.resume_at(self.base);
+        self.link = None;
+        ReturnAddress::Exit
+    }
+
     /// Overflow recovery: "If stack overflow can be detected while the
     /// system is in a known state, overflow can be treated as an implicit
     /// continuation capture" (§5). Seals everything through the caller's
@@ -307,14 +315,7 @@ impl<S: StackSlot> SegmentedStack<S> {
         self.metrics.overflows += 1;
         let seal_top = self.fp + d;
         emit(&self.sink, EventKind::OverflowBegin, (seal_top - self.base) as u64, nargs as u64);
-        let reused_before = self.metrics.segments_reused;
-        let newbuf = self.alloc.alloc(self.cfg.segment_slots(), &mut self.metrics)?;
-        emit(
-            &self.sink,
-            EventKind::SegmentAlloc,
-            newbuf.borrow().len() as u64,
-            (self.metrics.segments_reused > reused_before) as u64,
-        );
+        let newbuf = self.fresh_segment(self.cfg.segment_slots())?;
         let sealed = SealedSeg {
             buf: Some(self.buf.clone()),
             base: self.base,
@@ -324,7 +325,6 @@ impl<S: StackSlot> SegmentedStack<S> {
         };
         self.metrics.stack_records_allocated += 1;
         let k = Continuation::from_repr(Rc::new(SegKont(RefCell::new(sealed))));
-        let newlen = newbuf.borrow().len();
         // A pooled segment may still hold values where the frame lands.
         write_slot(&newbuf, 0, S::from_return_address(ReturnAddress::Underflow));
         crate::drops::deferring(|| {
@@ -334,14 +334,10 @@ impl<S: StackSlot> SegmentedStack<S> {
             );
         });
         self.metrics.slots_copied += nargs as u64;
-        self.release_dead_span(seal_top);
-        self.buf = newbuf;
-        self.base = 0;
-        self.end = newlen;
-        self.fp = 0;
-        self.hw = 0;
+        // The sealed record shares the old buffer, so the pool declines it.
+        self.move_to(newbuf, seal_top);
         self.link = Some(k);
-        emit(&self.sink, EventKind::OverflowEnd, nargs as u64, newlen as u64);
+        emit(&self.sink, EventKind::OverflowEnd, nargs as u64, self.end as u64);
         Ok(())
     }
 
@@ -384,17 +380,17 @@ impl<S: StackSlot> SegmentedStack<S> {
     ///
     /// When the caller holds the *only* handle to the target record
     /// (`Rc::strong_count == 1`) **and** that handle dies with the current
-    /// reinstatement (the `owned` contract of
-    /// [`reinstate_resolved`](Self::reinstate_resolved)), nothing can ever
-    /// reinstate it again, so instead of copying its slots the machine may
-    /// adopt the record's segment — and, transitively, its whole chain —
-    /// as the current stack. `Rc` uniqueness plus handle ownership is the
-    /// safe-Rust analogue of the paper's ownership argument: with no other
-    /// reference to the stack record, no observer can distinguish
-    /// relinking it in place from copying it out. One-shot continuations
-    /// (`call/1cc`) and the underflow handler's link reach this state by
-    /// construction; a borrowed multi-shot handle never qualifies, because
-    /// the caller's binding *is* the one handle and survives the call.
+    /// reinstatement (an owned [`Resume`], which only this crate can
+    /// build), nothing can ever reinstate it again, so instead of copying
+    /// its slots the machine may adopt the record's segment — and,
+    /// transitively, its whole chain — as the current stack. `Rc`
+    /// uniqueness plus handle ownership is the safe-Rust analogue of the
+    /// paper's ownership argument: with no other reference to the stack
+    /// record, no observer can distinguish relinking it in place from
+    /// copying it out. One-shot continuations (`call/1cc`) and the
+    /// underflow handler's link reach this state by construction; a
+    /// borrowed multi-shot handle never qualifies, because the caller's
+    /// binding *is* the one handle and survives the call.
     ///
     /// Two geometries qualify:
     ///
@@ -409,10 +405,11 @@ impl<S: StackSlot> SegmentedStack<S> {
     ///
     /// Returns `None` (and mutates nothing) when the fast path does not
     /// apply; the caller then takes the ordinary Figure 6–7 copy path.
-    fn try_relink(&mut self, k: &Continuation<S>) -> Option<ReturnAddress> {
+    fn try_relink(&mut self, r: &Resume<'_, S>) -> Option<ReturnAddress> {
         /// Chain prefix inspected by the cross-buffer accounting walk.
         const RELINK_WALK_BUDGET: usize = 32;
-        if k.repr_strong_count() != 1 {
+        let k = r.k;
+        if !r.owned || k.repr_strong_count() != 1 {
             return None;
         }
         let head = k.downcast_ref::<SegKont<S>>()?;
@@ -491,13 +488,9 @@ impl<S: StackSlot> SegmentedStack<S> {
             s.link.take()
         };
         if !same_buffer {
-            self.release_dead_span(self.base);
-            let old = std::mem::replace(&mut self.buf, head_buf);
-            self.alloc.retire(old);
-            self.hw = 0;
+            self.move_to(head_buf, self.base);
         }
         self.base = head_base;
-        self.end = buf_len;
         self.resume_at(new_fp);
         self.link = link;
         self.metrics.reinstates_relinked += 1;
@@ -506,119 +499,42 @@ impl<S: StackSlot> SegmentedStack<S> {
         Some(ReturnAddress::Code(ra))
     }
 
-    /// Reinstatement of an unwrapped (never one-shot-wrapped) continuation.
-    ///
-    /// `owned` declares that the caller's handle dies with this call — it
-    /// is a one-shot inner just taken out of its wrapper, or the underflow
-    /// handler's own link — which is what entitles the relink fast path to
-    /// consume the record. A borrowed multi-shot handle may legally be
-    /// reinstated again later *even when it is the only live handle* (the
-    /// caller's binding is that one handle and survives the call), so it
-    /// always takes the bounded-copy path.
-    fn reinstate_resolved(
-        &mut self,
-        k: &Continuation<S>,
-        owned: bool,
-    ) -> Result<ReturnAddress, StackError> {
-        // Unshared owned chain: relink instead of copying. The whole
-        // switch is ~1µs of pointer swaps, so it gets exactly one packed
-        // ring write (the `Relink` event inside `try_relink`) instead of a
-        // Begin/Relink/End span — the span protocol below is reserved for
-        // the copy path, whose End event carries the realized copy cost.
-        if owned && !k.is_exit() {
-            if let Some(ra) = self.try_relink(k) {
-                self.metrics.reinstatements += 1;
-                return Ok(ra);
-            }
-        }
-        if self.sink.is_none() {
-            return self.reinstate_inner(k);
-        }
-        // Span-paired: the end event carries the realized cost (slots
-        // copied) as a metric delta, so the Figure 6–7 copy bound becomes
-        // a per-event assertion in the trace.
-        let target_size = k.downcast_ref::<SegKont<S>>().map_or(0, |sk| sk.0.borrow().size as u64);
-        emit(&self.sink, EventKind::ReinstateBegin, target_size, owned as u64);
-        let copied_before = self.metrics.slots_copied;
-        let result = self.reinstate_inner(k);
-        emit(&self.sink, EventKind::ReinstateEnd, self.metrics.slots_copied - copied_before, 0);
-        result
-    }
-
-    /// The copy path of [`reinstate_resolved`](Self::reinstate_resolved)
-    /// (the relink fast path has already been tried and declined).
-    fn reinstate_inner(&mut self, k: &Continuation<S>) -> Result<ReturnAddress, StackError> {
-        self.metrics.reinstatements += 1;
-        if k.is_exit() {
-            self.buf.borrow_mut()[self.base] = S::from_return_address(ReturnAddress::Exit);
-            self.resume_at(self.base);
-            self.link = None;
-            return Ok(ReturnAddress::Exit);
-        }
+    /// The copy path of [`resume`](ControlStack::resume) (Figures 6–7): the
+    /// relink fast path has been tried and declined.
+    fn resume_by_copy(&mut self, k: &Continuation<S>) -> Result<ReturnAddress, StackError> {
         // Skip through empty ablation records (size 0) to the first real
         // segment — linear in the chain, which is the ablation's point.
-        let mut resolved = k.clone();
+        let mut k = k.clone();
         let src_buf = loop {
-            let Some(sk) = resolved.downcast_ref::<SegKont<S>>() else {
-                return Err(StackError::ForeignContinuation { strategy: "segmented" });
+            let Some(kont) = k.record::<SegKont<S>>("segmented")? else {
+                return Ok(self.resume_exit());
             };
-            let sealed = sk.0.borrow();
-            let Some(buf) = &sealed.buf else {
-                // A relink consumed this record; reinstating it again
-                // would read slots live execution now owns.
-                return Err(StackError::OneShotReused);
+            let next = {
+                let s = kont.0.borrow();
+                let Some(buf) = &s.buf else {
+                    // A relink consumed this record; reinstating it again
+                    // would read slots live execution now owns.
+                    return Err(StackError::OneShotReused);
+                };
+                if s.size > 0 {
+                    break buf.clone();
+                }
+                s.link.clone()
             };
-            if sealed.size > 0 {
-                break buf.clone();
-            }
-            match &sealed.link {
-                Some(inner) => {
-                    let inner = inner.clone();
-                    drop(sealed);
-                    resolved = inner;
-                    if resolved.is_exit() {
-                        drop(resolved);
-                        self.buf.borrow_mut()[self.base] =
-                            S::from_return_address(ReturnAddress::Exit);
-                        self.resume_at(self.base);
-                        self.link = None;
-                        return Ok(ReturnAddress::Exit);
-                    }
-                }
-                None => {
-                    drop(sealed);
-                    self.buf.borrow_mut()[self.base] = S::from_return_address(ReturnAddress::Exit);
-                    self.resume_at(self.base);
-                    self.link = None;
-                    return Ok(ReturnAddress::Exit);
-                }
+            match next {
+                Some(link) => k = link,
+                None => return Ok(self.resume_exit()),
             }
         };
-        let k = &resolved;
-        let kont = k
-            .downcast_ref::<SegKont<S>>()
-            .ok_or(StackError::ForeignContinuation { strategy: "segmented" })?;
+        let kont = k.downcast_ref::<SegKont<S>>().expect("the skip stopped at a segmented record");
         self.maybe_split(kont, &src_buf);
         let (src_base, size, ra, klink) = {
             let s = kont.0.borrow();
             (s.base, s.size, s.ra, s.link.clone())
         };
         if self.base + size + self.cfg.esp_reserve() > self.end {
-            let reused_before = self.metrics.segments_reused;
-            let newbuf = self.alloc.alloc(size + self.cfg.esp_reserve(), &mut self.metrics)?;
-            let newlen = newbuf.borrow().len();
-            emit(
-                &self.sink,
-                EventKind::SegmentAlloc,
-                newlen as u64,
-                (self.metrics.segments_reused > reused_before) as u64,
-            );
-            self.release_dead_span(self.base);
-            let old = std::mem::replace(&mut self.buf, newbuf);
-            self.alloc.retire(old);
-            self.base = 0;
-            self.end = newlen;
-            self.hw = 0;
+            let newbuf = self.fresh_segment(size + self.cfg.esp_reserve())?;
+            self.move_to(newbuf, self.base);
         }
         crate::drops::deferring(|| {
             let mut b = self.buf.borrow_mut();
@@ -882,10 +798,7 @@ impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
     ) -> Result<(), StackError> {
         debug_assert!(d >= 1, "a caller frame occupies at least its return-address slot");
         self.metrics.calls += 1;
-        let bound = self.cfg.frame_bound();
-        if d > bound || 1 + nargs > bound {
-            return Err(StackError::FrameTooLarge { requested: d.max(1 + nargs), bound });
-        }
+        self.cfg.check_frame(d, nargs)?;
         let new_fp = self.fp + d;
         if check {
             self.metrics.checks_executed += 1;
@@ -896,7 +809,7 @@ impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
         } else {
             self.metrics.checks_elided += 1;
             debug_assert!(
-                new_fp + bound <= self.end,
+                new_fp + self.cfg.frame_bound() <= self.end,
                 "unchecked call escaped the two-frame reserve"
             );
         }
@@ -935,9 +848,10 @@ impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
                         k.downcast_ref::<SegKont<S>>().map_or(0, |sk| sk.0.borrow().size as u64);
                     emit(&self.sink, EventKind::Underflow, size, 0);
                 }
-                // The taken link is owned: it dies at the end of this arm,
-                // so the relink fast path may consume the record.
-                let result = self.reinstate_resolved(&k, true);
+                // The taken link dies at the end of this arm, so the
+                // reinstatement owns it and may consume the record.
+                self.metrics.reinstatements += 1;
+                let result = self.resume(Resume { k: &k, owned: true });
                 // An underflow consumes its record; if this was the last
                 // reference to the record's buffer, salvage it for reuse.
                 // The clone is taken only *after* reinstating so it cannot
@@ -1008,21 +922,27 @@ impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
         k
     }
 
-    fn reinstate(&mut self, k: &Continuation<S>) -> Result<ReturnAddress, StackError> {
-        // `call/1cc`: take the inner continuation out of a one-shot
-        // wrapper. A spent wrapper errors before any state changes. The
-        // taken inner is *owned*: by the one-shot contract a second
-        // reinstatement must fail anyway, so the record may be consumed.
-        let taken;
-        let (k, owned) = match k.unwrap_one_shot() {
-            None => (k, false),
-            Some(Err(e)) => return Err(e),
-            Some(Ok(inner)) => {
-                taken = inner;
-                (&taken, true)
-            }
-        };
-        self.reinstate_resolved(k, owned)
+    fn resume(&mut self, r: Resume<'_, S>) -> Result<ReturnAddress, StackError> {
+        // An owned, unshared chain is relinked instead of copied. The
+        // whole switch is ~1µs of pointer swaps, so it gets exactly one
+        // packed ring write (the `Relink` event inside `try_relink`)
+        // instead of a Begin/Relink/End span. The span below is the copy
+        // path's, exit included; its End event carries the realized copy
+        // cost, so the Figure 6–7 copy bound becomes a per-event assertion
+        // in the trace.
+        if let Some(ra) = self.try_relink(&r) {
+            return Ok(ra);
+        }
+        if self.sink.is_none() {
+            return self.resume_by_copy(r.k);
+        }
+        let target_size =
+            r.k.downcast_ref::<SegKont<S>>().map_or(0, |sk| sk.0.borrow().size as u64);
+        emit(&self.sink, EventKind::ReinstateBegin, target_size, r.owned as u64);
+        let copied_before = self.metrics.slots_copied;
+        let result = self.resume_by_copy(r.k);
+        emit(&self.sink, EventKind::ReinstateEnd, self.metrics.slots_copied - copied_before, 0);
+        result
     }
 
     fn metrics(&self) -> &Metrics {
@@ -1068,20 +988,19 @@ impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
 
     fn reset(&mut self) {
         self.link = None;
+        // The dead span goes before the buffer's owners are counted: a
+        // continuation stored in a dead frame may be one of them. Nothing
+        // above the base holds a value after it.
         self.release_dead_span(self.base);
+        self.hw = self.base;
         if Rc::strong_count(&self.buf) > 1 || self.buf.borrow().len() < self.cfg.segment_slots() {
-            let fresh = self
-                .alloc
-                .alloc(self.cfg.segment_slots(), &mut self.metrics)
-                .expect("segment budget exhausted during reset");
-            let old = std::mem::replace(&mut self.buf, fresh);
-            self.alloc.retire(old);
+            // Under an exhausted budget the stack keeps its buffer, and the
+            // next overflow reports the budget.
+            if let Ok(fresh) = self.alloc.alloc(self.cfg.segment_slots(), &mut self.metrics) {
+                self.move_to(fresh, self.base);
+            }
         }
-        self.end = self.buf.borrow().len();
-        self.base = 0;
-        self.fp = 0;
-        self.hw = 0;
-        self.buf.borrow_mut()[0] = S::from_return_address(ReturnAddress::Exit);
+        self.start_over();
     }
 
     /// Releases the dead span and, if no record shares the buffer, moves
@@ -1093,12 +1012,7 @@ impl<S: StackSlot> ControlStack<S> for SegmentedStack<S> {
             return;
         }
         self.release_dead_span(self.base);
-        if Rc::strong_count(&self.buf) == 1 {
-            self.base = 0;
-            self.fp = 0;
-        }
-        self.hw = self.fp;
-        self.buf.borrow_mut()[self.base] = S::from_return_address(ReturnAddress::Exit);
+        self.start_over();
     }
 
     fn trace_summaries(&self) -> Vec<(EventKind, segstack_trace::HistSummary)> {
@@ -1404,11 +1318,11 @@ mod tests {
         #[derive(Debug)]
         struct Foreign;
         impl KontRepr<TestSlot> for Foreign {
-            fn retained_slots(&self) -> usize {
-                0
+            fn footprint(&self) -> (usize, usize) {
+                (0, 0)
             }
-            fn chain_len(&self) -> usize {
-                0
+            fn link(&self) -> Option<Continuation<TestSlot>> {
+                None
             }
             fn strategy(&self) -> &'static str {
                 "foreign"

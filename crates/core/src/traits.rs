@@ -2,7 +2,7 @@
 //!
 //! The Scheme VM (and the synthetic simulator) drive activation-record
 //! management exclusively through [`ControlStack`], so the paper's segmented
-//! strategy and the four baseline strategies it is compared against are
+//! strategy and the five baseline strategies it is compared against are
 //! interchangeable. The interface mirrors the paper's machine-level
 //! protocol:
 //!
@@ -11,14 +11,16 @@
 //!   completed", §3), then issues [`ControlStack::call`];
 //! * returning pops by re-adjusting the frame pointer using the frame-size
 //!   word found via the return address (no dynamic links);
-//! * capture/reinstate implement `call/cc`.
+//! * capture/reinstate implement `call/cc`. Reinstatement is one protocol
+//!   for every strategy ([`ControlStack::reinstate`]); a strategy supplies
+//!   only how it installs its own record ([`ControlStack::resume`]).
 
 use segstack_trace::{EventKind, HistSummary};
 
 use crate::addr::{CodeAddr, ReturnAddress};
 use crate::error::StackError;
 use crate::metrics::Metrics;
-use crate::record::Continuation;
+use crate::record::{Continuation, Resume};
 use crate::slot::StackSlot;
 
 /// Point-in-time structural information about a control stack, used by
@@ -63,7 +65,10 @@ pub struct StackStats {
 /// immediately [`capture`](ControlStack::capture) — the resulting
 /// continuation returns to the `call/cc` call's return point. Invoking a
 /// continuation object is [`reinstate`](ControlStack::reinstate), which
-/// yields the address at which execution resumes.
+/// yields the address at which execution resumes. `reinstate` is provided
+/// and holds the contract every strategy shares (a one-shot continuation
+/// resumes at most once, and every reinstatement is counted); the strategy
+/// implements [`resume`](ControlStack::resume), which installs the record.
 pub trait ControlStack<S: StackSlot> {
     /// The strategy's name (`"segmented"`, `"heap"`, `"copy"`, `"cache"`,
     /// `"hybrid"`, `"incremental"`).
@@ -84,8 +89,9 @@ pub trait ControlStack<S: StackSlot> {
     /// # Errors
     ///
     /// [`StackError::FrameTooLarge`] if `d` or the partial frame exceed the
-    /// frame bound; [`StackError::OutOfStackMemory`] if overflow recovery
-    /// cannot allocate a segment under a configured budget.
+    /// frame bound ([`Config::check_frame`](crate::Config::check_frame));
+    /// [`StackError::OutOfStackMemory`] if overflow recovery cannot allocate
+    /// a segment under a configured budget.
     fn call(&mut self, d: usize, ra: CodeAddr, nargs: usize, check: bool)
         -> Result<(), StackError>;
 
@@ -131,12 +137,32 @@ pub trait ControlStack<S: StackSlot> {
     /// returned address is where execution resumes
     /// ([`ReturnAddress::Exit`] if the exit continuation was invoked).
     ///
+    /// A one-shot wrapper gives up its shot first; the reinstatement is
+    /// then counted and handed to [`resume`](ControlStack::resume) as a
+    /// [`Resume`] that owns the shot.
+    ///
+    /// # Errors
+    ///
+    /// [`StackError::OneShotReused`] for a spent one-shot wrapper, before
+    /// any machine state changes; otherwise what `resume` returns.
+    fn reinstate(&mut self, k: &Continuation<S>) -> Result<ReturnAddress, StackError> {
+        let mut shot = None;
+        let r = Resume::new(k, &mut shot)?;
+        self.metrics_mut().reinstatements += 1;
+        self.resume(r)
+    }
+
+    /// Installs the continuation `r` carries as the current control state:
+    /// the strategy's own half of [`reinstate`](ControlStack::reinstate),
+    /// which has counted the reinstatement. [`Resume::record`] yields the
+    /// strategy's record, or `None` for the exit continuation.
+    ///
     /// # Errors
     ///
     /// [`StackError::ForeignContinuation`] if the continuation was created
     /// by a different strategy; [`StackError::OutOfStackMemory`] under an
     /// exhausted budget.
-    fn reinstate(&mut self, k: &Continuation<S>) -> Result<ReturnAddress, StackError>;
+    fn resume(&mut self, r: Resume<'_, S>) -> Result<ReturnAddress, StackError>;
 
     /// Accumulated operation counters.
     fn metrics(&self) -> &Metrics;

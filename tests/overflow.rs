@@ -81,6 +81,36 @@ fn budget_exhaustion_is_a_clean_error() {
 }
 
 #[test]
+fn reset_under_an_exhausted_budget_is_a_clean_error() {
+    // As above, but every frame's continuation is saved in a global, so the
+    // live segment is shared when the error resets the stack. The reset
+    // cannot start over at the segment's bottom, and the budget leaves no
+    // fresh one: it must keep the segment, not panic.
+    let cfg = Config::builder()
+        .segment_slots(256)
+        .frame_bound(48)
+        .copy_bound(32)
+        .max_total_slots(4096)
+        .pool_segments(0)
+        .build()
+        .unwrap();
+    let mut e = Engine::builder().config(cfg).max_steps(100_000_000).build().unwrap();
+    let err = e
+        .eval(
+            "(define saved #f)
+             (define (sum n)
+               (if (= n 0) 0 (+ n (call/cc (lambda (k) (set! saved k) (sum (- n 1)))))))
+             (sum 1000000)",
+        )
+        .unwrap_err();
+    match err {
+        SchemeError::Stack(StackError::OutOfStackMemory { .. }) => {}
+        other => panic!("expected OutOfStackMemory, got {other}"),
+    }
+    assert_eq!(e.eval_to_string("(+ 1 2)").unwrap(), "3");
+}
+
+#[test]
 fn overflow_boundary_loop_does_not_bounce_on_segmented() {
     // Park the stack near a segment boundary, then run a call/return loop
     // across it. The segmented model allocates a fresh segment on overflow
