@@ -14,43 +14,11 @@
 use std::rc::Rc;
 
 use segstack_core::{
-    walker, CodeAddr, Config, Continuation, ControlStack, FrameSizeTable, KontRepr, Metrics,
-    Resume, ReturnAddress, StackError, StackSlot, StackStats,
+    walker, CodeAddr, Config, Continuation, ControlStack, FrameSizeTable, Metrics, Resume,
+    ReturnAddress, StackError, StackSlot, StackStats,
 };
 
-/// A flushed block of frames: a copied stack image plus the usual record
-/// fields (return address of the topmost frame, link to the next block).
-#[derive(Debug)]
-struct CacheKont<S: StackSlot> {
-    image: Vec<S>,
-    ra: CodeAddr,
-    link: Option<Continuation<S>>,
-}
-
-impl<S: StackSlot> Drop for CacheKont<S> {
-    fn drop(&mut self) {
-        // Both the block chain and the saved images can hold long chains
-        // of continuations; hand them to the deferred-drop queue.
-        segstack_core::defer_slots(&mut self.image);
-        if let Some(link) = self.link.take() {
-            segstack_core::defer_drop(link.into_any());
-        }
-    }
-}
-
-impl<S: StackSlot> KontRepr<S> for CacheKont<S> {
-    fn footprint(&self) -> (usize, usize) {
-        (1, self.image.len())
-    }
-
-    fn link(&self) -> Option<Continuation<S>> {
-        self.link.clone()
-    }
-
-    fn strategy(&self) -> &'static str {
-        "cache"
-    }
-}
+use crate::flat::{Flat, ImageKont};
 
 /// Control-stack strategy using a bounded stack cache with flush-to-heap on
 /// overflow and capture, and refill-from-heap on underflow.
@@ -73,51 +41,29 @@ impl<S: StackSlot> KontRepr<S> for CacheKont<S> {
 /// assert!(stack.metrics().overflows > 0);      // …bounces through the cache
 /// # Ok::<(), segstack_core::StackError>(())
 /// ```
+#[derive(Debug)]
 pub struct CacheStack<S: StackSlot> {
-    code: Rc<dyn FrameSizeTable>,
-    cfg: Config,
-    buf: Vec<S>,
-    fp: usize,
+    flat: Flat<S>,
+    /// The most recently flushed block, where an underflow refills from.
     link: Option<Continuation<S>>,
-    metrics: Metrics,
-}
-
-impl<S: StackSlot> std::fmt::Debug for CacheStack<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheStack")
-            .field("fp", &self.fp)
-            .field("cache", &self.buf.len())
-            .field("linked", &self.link.is_some())
-            .finish()
-    }
 }
 
 impl<S: StackSlot> CacheStack<S> {
     /// Creates a cache-model stack with a cache of `cfg.segment_slots()`
     /// slots.
     pub fn new(cfg: Config, code: Rc<dyn FrameSizeTable>) -> Self {
-        let mut buf: Vec<S> = std::iter::repeat_with(S::empty).take(cfg.segment_slots()).collect();
-        buf[0] = S::from_return_address(ReturnAddress::Exit);
-        CacheStack { code, cfg, buf, fp: 0, link: None, metrics: Metrics::new() }
+        CacheStack { flat: Flat::new(cfg, code), link: None }
     }
 
     /// The frame pointer (absolute index within the cache).
     pub fn fp(&self) -> usize {
-        self.fp
+        self.flat.fp
     }
 
-    fn esp(&self) -> usize {
-        self.buf.len() - self.cfg.esp_reserve()
-    }
-
-    /// Flushes the occupied cache below `seal_top` into a heap block whose
-    /// topmost frame resumes at `ra`, chaining it onto the current link.
-    fn flush(&mut self, seal_top: usize, ra: CodeAddr) -> Continuation<S> {
-        let image: Vec<S> = self.buf[..seal_top].to_vec();
-        self.metrics.slots_copied += image.len() as u64;
-        self.metrics.heap_slots_allocated += image.len() as u64;
-        self.metrics.stack_records_allocated += 1;
-        Continuation::from_repr(Rc::new(CacheKont { image, ra, link: self.link.take() }))
+    /// Flushes the cache below `top` into a heap block whose topmost frame
+    /// resumes at `ra`, linked to the block flushed before it.
+    fn flush(&mut self, top: usize, ra: CodeAddr) -> Continuation<S> {
+        self.flat.save(top, ra, self.link.take(), self.name())
     }
 }
 
@@ -127,11 +73,11 @@ impl<S: StackSlot> ControlStack<S> for CacheStack<S> {
     }
 
     fn get(&self, i: usize) -> S {
-        self.buf[self.fp + i].clone()
+        self.flat.get(i)
     }
 
     fn set(&mut self, i: usize, v: S) {
-        self.buf[self.fp + i] = v;
+        self.flat.set(i, v);
     }
 
     fn call(
@@ -141,139 +87,95 @@ impl<S: StackSlot> ControlStack<S> for CacheStack<S> {
         nargs: usize,
         check: bool,
     ) -> Result<(), StackError> {
-        debug_assert!(d >= 1);
-        self.metrics.calls += 1;
-        self.cfg.check_frame(d, nargs)?;
-        let new_fp = self.fp + d;
-        if check {
-            self.metrics.checks_executed += 1;
-            if new_fp > self.esp() {
-                // Cache overflow: flush everything below the callee frame.
-                self.metrics.overflows += 1;
-                let k = self.flush(new_fp, ra);
-                self.buf[0] = S::from_return_address(ReturnAddress::Underflow);
-                for j in 0..nargs {
-                    self.buf[1 + j] = self.buf[new_fp + 1 + j].clone();
-                }
-                self.metrics.slots_copied += nargs as u64;
-                self.fp = 0;
-                self.link = Some(k);
-                return Ok(());
+        self.flat.count_call(d, nargs)?;
+        if self.flat.overflows(d, check) {
+            // Cache overflow: flush everything below the callee frame and
+            // move the staged arguments to the base.
+            let new_fp = self.flat.fp + d;
+            let k = self.flush(new_fp, ra);
+            let buf = &mut self.flat.buf;
+            buf[0] = S::from_return_address(ReturnAddress::Underflow);
+            for j in 0..nargs {
+                buf[1 + j] = buf[new_fp + 1 + j].clone();
             }
+            self.flat.metrics.slots_copied += nargs as u64;
+            self.flat.fp = 0;
+            self.link = Some(k);
         } else {
-            self.metrics.checks_elided += 1;
+            self.flat.push(d, ra);
         }
-        self.buf[new_fp] = S::from_return_address(ReturnAddress::Code(ra));
-        self.fp = new_fp;
         Ok(())
     }
 
     fn tail_call(&mut self, src: usize, nargs: usize) {
-        debug_assert!(src >= 1);
-        self.metrics.tail_calls += 1;
-        for j in 0..nargs {
-            self.buf[self.fp + 1 + j] = self.buf[self.fp + src + j].clone();
-        }
+        self.flat.tail_call(src, nargs);
     }
 
     fn ret(&mut self) -> Result<ReturnAddress, StackError> {
-        self.metrics.returns += 1;
-        let ra =
-            self.buf[self.fp].as_return_address().expect("frame base must hold a return address");
-        match ra {
-            ReturnAddress::Code(r) => {
-                self.fp -= self.code.displacement(r);
-                Ok(ra)
-            }
+        if let Some(ra) = self.flat.ret() {
+            return Ok(ra);
+        }
+        match self.flat.top_ra() {
             ReturnAddress::Underflow => {
-                debug_assert_eq!(self.fp, 0);
-                self.metrics.underflows += 1;
+                self.flat.metrics.underflows += 1;
                 let k = self.link.clone().expect("underflow with no linked block");
                 self.reinstate(&k)
             }
-            ReturnAddress::Exit => Ok(ra),
+            exit => Ok(exit),
         }
     }
 
     fn capture(&mut self) -> Continuation<S> {
-        self.metrics.captures += 1;
-        if self.fp == 0 {
+        self.flat.metrics.captures += 1;
+        let Some(ra) = self.flat.live_ra() else {
             return self.link.clone().unwrap_or_else(Continuation::exit);
-        }
-        let ra = self.buf[self.fp]
-            .as_return_address()
-            .expect("frame base must hold a return address")
-            .code()
-            .expect("a live frame above the cache base has a code return address");
-        let k = self.flush(self.fp, ra);
-        // Slide the live frame down to the cache base. Without a stack
-        // pointer its extent is unknown; one frame bound is always enough.
-        let width = self.cfg.frame_bound().min(self.buf.len() - self.fp);
-        for i in 0..width {
-            self.buf[i] = self.buf[self.fp + i].clone();
-        }
-        self.metrics.slots_copied += width as u64;
-        self.buf[0] = S::from_return_address(ReturnAddress::Underflow);
-        self.fp = 0;
+        };
+        let k = self.flush(self.flat.fp, ra);
+        self.flat.slide(self.flat.cfg.frame_bound());
+        self.flat.buf[0] = S::from_return_address(ReturnAddress::Underflow);
         self.link = Some(k.clone());
         k
     }
 
     fn resume(&mut self, r: Resume<'_, S>) -> Result<ReturnAddress, StackError> {
-        let Some(kont) = r.record::<CacheKont<S>>(self.name())? else {
+        let Some(kont) = r.record::<ImageKont<S>>(self.name())? else {
             self.reset();
             return Ok(ReturnAddress::Exit);
         };
         // The whole block is copied back: the cache model has no splitting,
         // so every underflow refills (and every overflow flushed) up to a
         // cache-full of slots — the "bouncing" cost.
-        for (i, s) in kont.image.iter().enumerate() {
-            self.buf[i] = s.clone();
-        }
-        self.metrics.slots_copied += kont.image.len() as u64;
-        self.fp = kont.image.len() - self.code.displacement(kont.ra);
         self.link = kont.link.clone();
-        Ok(ReturnAddress::Code(kont.ra))
+        Ok(self.flat.restore(&kont.image, kont.ra))
     }
 
     fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.flat.metrics
     }
 
     fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+        &mut self.flat.metrics
     }
 
     fn stats(&self) -> StackStats {
-        let (chain_records, chain_slots) = match &self.link {
-            Some(k) => (k.chain_len(), k.retained_slots()),
-            None => (0, 0),
-        };
-        StackStats {
-            chain_records,
-            chain_slots,
-            current_used_slots: self.fp,
-            current_free_slots: self.esp().saturating_sub(self.fp),
-        }
+        self.flat.stats(self.link.as_ref().map_or((0, 0), |k| (k.chain_len(), k.retained_slots())))
     }
 
     fn reset(&mut self) {
-        self.fp = 0;
-        self.buf[0] = S::from_return_address(ReturnAddress::Exit);
+        self.flat.reset();
         self.link = None;
     }
 
     fn backtrace(&self, limit: usize) -> Vec<CodeAddr> {
         let mut out = Vec::new();
-        let mut at_base =
-            walker::walk_live(&self.buf, 0, self.fp, &*self.code).backtrace_into(&mut out, limit);
+        let mut at_base = self.flat.walk().backtrace_into(&mut out, limit);
         let mut link = self.link.as_ref();
         // Below the underflow handler the walk goes on in the flushed block.
         while at_base == Some(ReturnAddress::Underflow) {
-            let Some(block) = link.and_then(|k| k.downcast_ref::<CacheKont<S>>()) else {
+            let Some(block) = link.and_then(|k| k.downcast_ref::<ImageKont<S>>()) else {
                 break;
             };
-            at_base = walker::walk(&block.image, 0, block.image.len(), block.ra, &*self.code)
+            at_base = walker::walk(&block.image, 0, block.image.len(), block.ra, &*self.flat.code)
                 .backtrace_into(&mut out, limit);
             link = block.link.as_ref();
         }

@@ -11,39 +11,11 @@
 use std::rc::Rc;
 
 use segstack_core::{
-    walker, CodeAddr, Config, Continuation, ControlStack, FrameSizeTable, KontRepr, Metrics,
-    Resume, ReturnAddress, StackError, StackSlot, StackStats,
+    CodeAddr, Config, Continuation, ControlStack, FrameSizeTable, Metrics, Resume, ReturnAddress,
+    StackError, StackSlot, StackStats,
 };
 
-/// Continuation representation of the copy model: a full copy of the stack
-/// below the capture point.
-#[derive(Debug)]
-struct CopyKont<S: StackSlot> {
-    image: Vec<S>,
-    ra: CodeAddr,
-}
-
-impl<S: StackSlot> Drop for CopyKont<S> {
-    fn drop(&mut self) {
-        // The image may hold further continuation values (chains of saved
-        // stacks); hand them to the deferred-drop queue.
-        segstack_core::defer_slots(&mut self.image);
-    }
-}
-
-impl<S: StackSlot> KontRepr<S> for CopyKont<S> {
-    fn footprint(&self) -> (usize, usize) {
-        (1, self.image.len())
-    }
-
-    fn link(&self) -> Option<Continuation<S>> {
-        None
-    }
-
-    fn strategy(&self) -> &'static str {
-        "copy"
-    }
-}
+use crate::flat::{Flat, ImageKont};
 
 /// Control-stack strategy using one contiguous stack with whole-stack
 /// copying for continuation operations (Figure 2).
@@ -67,51 +39,38 @@ impl<S: StackSlot> KontRepr<S> for CopyKont<S> {
 /// assert!(stack.metrics().slots_copied > before, "capture copies the stack");
 /// # Ok::<(), segstack_core::StackError>(())
 /// ```
+#[derive(Debug)]
 pub struct CopyStack<S: StackSlot> {
-    code: Rc<dyn FrameSizeTable>,
-    cfg: Config,
-    buf: Vec<S>,
-    fp: usize,
-    metrics: Metrics,
-}
-
-impl<S: StackSlot> std::fmt::Debug for CopyStack<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CopyStack")
-            .field("fp", &self.fp)
-            .field("capacity", &self.buf.len())
-            .finish()
-    }
+    flat: Flat<S>,
 }
 
 impl<S: StackSlot> CopyStack<S> {
     /// Creates a copy-model stack with an initial buffer of
     /// `cfg.segment_slots()` slots.
     pub fn new(cfg: Config, code: Rc<dyn FrameSizeTable>) -> Self {
-        let mut buf: Vec<S> = std::iter::repeat_with(S::empty).take(cfg.segment_slots()).collect();
-        buf[0] = S::from_return_address(ReturnAddress::Exit);
-        CopyStack { code, cfg, buf, fp: 0, metrics: Metrics::new() }
+        CopyStack { flat: Flat::new(cfg, code) }
     }
 
     /// The frame pointer (absolute index of the current frame base).
     pub fn fp(&self) -> usize {
-        self.fp
+        self.flat.fp
     }
 
     /// Current stack capacity in slots.
     pub fn capacity(&self) -> usize {
-        self.buf.len()
+        self.flat.buf.len()
     }
 
     /// Grows the stack so that `need` slots are addressable, doubling to
     /// amortize. The whole occupied portion is copied (and counted).
     fn ensure(&mut self, need: usize) {
-        if need <= self.buf.len() {
+        let flat = &mut self.flat;
+        if need <= flat.buf.len() {
             return;
         }
-        let new_len = need.max(self.buf.len() * 2);
-        self.metrics.slots_copied += self.fp as u64; // realloc moves the live stack
-        self.buf.resize_with(new_len, S::empty);
+        let new_len = need.max(flat.buf.len() * 2);
+        flat.metrics.slots_copied += flat.fp as u64; // realloc moves the live stack
+        flat.buf.resize_with(new_len, S::empty);
     }
 }
 
@@ -121,12 +80,12 @@ impl<S: StackSlot> ControlStack<S> for CopyStack<S> {
     }
 
     fn get(&self, i: usize) -> S {
-        self.buf.get(self.fp + i).cloned().unwrap_or_else(S::empty)
+        self.flat.buf.get(self.flat.fp + i).cloned().unwrap_or_else(S::empty)
     }
 
     fn set(&mut self, i: usize, v: S) {
-        self.ensure(self.fp + i + 1);
-        self.buf[self.fp + i] = v;
+        self.ensure(self.flat.fp + i + 1);
+        self.flat.set(i, v);
     }
 
     fn call(
@@ -136,105 +95,64 @@ impl<S: StackSlot> ControlStack<S> for CopyStack<S> {
         nargs: usize,
         check: bool,
     ) -> Result<(), StackError> {
-        debug_assert!(d >= 1);
-        self.metrics.calls += 1;
-        self.cfg.check_frame(d, nargs)?;
-        if check {
-            self.metrics.checks_executed += 1;
-        } else {
-            self.metrics.checks_elided += 1;
-        }
-        let new_fp = self.fp + d;
-        self.ensure(new_fp + self.cfg.esp_reserve());
-        self.buf[new_fp] = S::from_return_address(ReturnAddress::Code(ra));
-        self.fp = new_fp;
+        self.flat.count_call(d, nargs)?;
+        // The stack grows instead of overflowing.
+        self.flat.count_check(check);
+        self.ensure(self.flat.fp + d + self.flat.cfg.esp_reserve());
+        self.flat.push(d, ra);
         Ok(())
     }
 
     fn tail_call(&mut self, src: usize, nargs: usize) {
-        debug_assert!(src >= 1);
-        self.metrics.tail_calls += 1;
-        self.ensure(self.fp + src + nargs);
-        for j in 0..nargs {
-            self.buf[self.fp + 1 + j] = self.buf[self.fp + src + j].clone();
-        }
+        self.ensure(self.flat.fp + src + nargs);
+        self.flat.tail_call(src, nargs);
     }
 
     fn ret(&mut self) -> Result<ReturnAddress, StackError> {
-        self.metrics.returns += 1;
-        let ra =
-            self.buf[self.fp].as_return_address().expect("frame base must hold a return address");
-        match ra {
-            ReturnAddress::Code(r) => {
-                self.fp -= self.code.displacement(r);
-                Ok(ra)
-            }
-            ReturnAddress::Exit => Ok(ra),
-            ReturnAddress::Underflow => {
-                unreachable!("the copy model keeps the whole stack resident")
-            }
-        }
+        // The whole stack stays resident: the base frame returns to the
+        // exit routine.
+        Ok(self.flat.ret().unwrap_or(ReturnAddress::Exit))
     }
 
     fn capture(&mut self) -> Continuation<S> {
-        self.metrics.captures += 1;
-        if self.fp == 0 {
+        self.flat.metrics.captures += 1;
+        let Some(ra) = self.flat.live_ra() else {
             return Continuation::exit();
-        }
-        let ra = self.buf[self.fp]
-            .as_return_address()
-            .expect("frame base must hold a return address")
-            .code()
-            .expect("a live frame above the stack base has a code return address");
+        };
         // "When a continuation is captured, the stack is copied into the
         // heap" — all of it, every time.
-        let image: Vec<S> = self.buf[..self.fp].to_vec();
-        self.metrics.slots_copied += image.len() as u64;
-        self.metrics.heap_slots_allocated += image.len() as u64;
-        self.metrics.stack_records_allocated += 1;
-        Continuation::from_repr(Rc::new(CopyKont { image, ra }))
+        self.flat.save(self.flat.fp, ra, None, self.name())
     }
 
     fn resume(&mut self, r: Resume<'_, S>) -> Result<ReturnAddress, StackError> {
-        let Some(kont) = r.record::<CopyKont<S>>(self.name())? else {
+        let Some(kont) = r.record::<ImageKont<S>>(self.name())? else {
             self.reset();
             return Ok(ReturnAddress::Exit);
         };
         // "When a continuation is invoked, the stack image in the heap is
         // copied into the stack area."
-        self.ensure(kont.image.len() + self.cfg.esp_reserve());
-        for (i, s) in kont.image.iter().enumerate() {
-            self.buf[i] = s.clone();
-        }
-        self.metrics.slots_copied += kont.image.len() as u64;
-        self.fp = kont.image.len() - self.code.displacement(kont.ra);
-        Ok(ReturnAddress::Code(kont.ra))
+        self.ensure(kont.image.len() + self.flat.cfg.esp_reserve());
+        Ok(self.flat.restore(&kont.image, kont.ra))
     }
 
     fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.flat.metrics
     }
 
     fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+        &mut self.flat.metrics
     }
 
     fn stats(&self) -> StackStats {
-        StackStats {
-            chain_records: 0, // continuations are flat images, never chained
-            chain_slots: 0,
-            current_used_slots: self.fp,
-            current_free_slots: self.buf.len().saturating_sub(self.fp + self.cfg.esp_reserve()),
-        }
+        self.flat.stats((0, 0)) // continuations are flat images, never chained
     }
 
     fn reset(&mut self) {
-        self.fp = 0;
-        self.buf[0] = S::from_return_address(ReturnAddress::Exit);
+        self.flat.reset();
     }
 
     fn backtrace(&self, limit: usize) -> Vec<CodeAddr> {
-        walker::walk_live(&self.buf, 0, self.fp, &*self.code).map(|f| f.ra).take(limit).collect()
+        self.flat.walk().map(|f| f.ra).take(limit).collect()
     }
 }
 

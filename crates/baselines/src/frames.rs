@@ -1,16 +1,21 @@
 //! Heap-allocated activation records, shared by the heap, hybrid and
 //! incremental models: their frames, their one continuation record type,
-//! and what all three do with them (clone a shared frame before running in
-//! it, allocate a callee's frame, walk a heap-frame chain or a stack whose
-//! base word returns into one, and migrate stack frames into the heap).
+//! and what they do with them (clone a shared frame before running in it,
+//! allocate a callee's frame, tail call, return and capture in a heap
+//! frame, walk a heap-frame chain). Beneath the hybrid and incremental
+//! models' flat stack lies such a chain: [`OverHeap`] is that machine,
+//! which migrates stack frames into the heap.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
 use segstack_core::{
-    walker, CodeAddr, Continuation, FrameSizeTable, KontRepr, Metrics, ReturnAddress, StackSlot,
+    CodeAddr, Config, Continuation, FrameSizeTable, KontRepr, Metrics, ReturnAddress, StackError,
+    StackSlot,
 };
+
+use crate::flat::Flat;
 
 /// Continuation representation of the heap-frame models: the caller's
 /// frame chain plus the resume address, so capture and reinstatement are
@@ -105,9 +110,7 @@ impl<S: StackSlot> HeapFrame<S> {
 
     /// Allocates a callee's frame: slot 0 holds `ra` and the arguments are
     /// this frame's slots `src..src + nargs`. `link` is this frame for a
-    /// call, and this frame's caller for a tail call: a heap frame may be
-    /// shared with a captured continuation, so even a tail call allocates
-    /// (§2).
+    /// call, and this frame's caller for a tail call.
     pub fn callee(
         &self,
         link: Option<Rc<Self>>,
@@ -125,6 +128,41 @@ impl<S: StackSlot> HeapFrame<S> {
         HeapFrame::new(link, slots)
     }
 
+    /// A tail call from the running frame `frame`. Even a tail call
+    /// allocates: the frame may be shared with a captured continuation
+    /// (§2 — "the frame cannot be reused or modified").
+    pub fn tail_call(frame: &mut Rc<Self>, src: usize, nargs: usize, metrics: &mut Metrics) {
+        metrics.tail_calls += 1;
+        *frame = frame.callee(frame.link.clone(), frame.get(0), src, nargs, metrics);
+    }
+
+    /// Returns from the running frame `frame`: its caller, made private,
+    /// runs next. "The called procedure uses the link to restore the old
+    /// frame pointer before returning" — the extra memory read of the heap
+    /// model. The initial frame returns to the exit routine and stays.
+    pub fn ret(frame: &mut Rc<Self>, metrics: &mut Metrics) -> ReturnAddress {
+        metrics.returns += 1;
+        let ra = frame.get(0).as_return_address().expect("frame slot 0 must hold a return address");
+        if ra.is_code() {
+            *frame = frame.link.clone().expect("a code return address implies a caller");
+            Self::make_private(frame, metrics);
+        }
+        ra
+    }
+
+    /// Captures the continuation of the computation running in this frame:
+    /// its caller chain, resuming at its return address (the exit
+    /// continuation in the initial frame). O(1).
+    pub fn capture(&self, strategy: &'static str, metrics: &mut Metrics) -> Continuation<S> {
+        metrics.captures += 1;
+        let ra = self.get(0).as_return_address().expect("frame slot 0 must hold a return address");
+        let ReturnAddress::Code(ra) = ra else {
+            return Continuation::exit();
+        };
+        let frame = self.link.clone().expect("a code return address implies a caller");
+        FrameKont::capture(strategy, frame, ra, metrics)
+    }
+
     /// The frames of the chain starting here, each followed by its caller.
     pub fn chain(&self) -> impl Iterator<Item = &HeapFrame<S>> {
         std::iter::successors(Some(self), |f| f.link.as_deref())
@@ -140,57 +178,6 @@ impl<S: StackSlot> HeapFrame<S> {
     pub fn footprint(&self) -> (usize, usize) {
         self.chain().fold((0, 0), |(n, slots), f| (n + 1, slots + f.slots.borrow().len()))
     }
-}
-
-/// Backtrace of a stack (based at 0, live frame at `fp`) whose base word
-/// either is the exit routine or returns into the heap-frame chain `deep`,
-/// as on the hybrid and incremental stacks.
-pub fn stack_backtrace<S: StackSlot>(
-    buf: &[S],
-    fp: usize,
-    code: &dyn FrameSizeTable,
-    deep: Option<&HeapFrame<S>>,
-    limit: usize,
-) -> Vec<CodeAddr> {
-    let mut out = Vec::new();
-    if let Some(ReturnAddress::Code(r)) =
-        walker::walk_live(buf, 0, fp, code).backtrace_into(&mut out, limit)
-    {
-        out.push(r);
-        let room = limit - out.len();
-        out.extend(deep.into_iter().flat_map(HeapFrame::return_addresses).take(room));
-    }
-    out
-}
-
-/// Moves every stack frame below the live frame at `*fp` into the heap, on
-/// top of the chain `deep`, then slides the first `width` slots of the live
-/// frame (clamped to the stack) down to the stack base. The new head of
-/// `deep`, the live frame's caller, is also the result. The walker finds
-/// the frames; they are *moved*, never copied back, which is the
-/// one-copy-only property of the hybrid model (§6).
-pub fn migrate_below<S: StackSlot>(
-    buf: &mut [S],
-    fp: &mut usize,
-    width: usize,
-    code: &dyn FrameSizeTable,
-    deep: &mut Option<Rc<HeapFrame<S>>>,
-    metrics: &mut Metrics,
-) -> Rc<HeapFrame<S>> {
-    let frames: Vec<_> = walker::walk_live(buf, 0, *fp, code).collect();
-    for f in frames.iter().rev() {
-        metrics.heap_frames_allocated += 1;
-        metrics.heap_slots_allocated += f.size() as u64;
-        metrics.slots_copied += f.size() as u64;
-        *deep = Some(HeapFrame::new(deep.take(), buf[f.base..f.top].to_vec()));
-    }
-    let width = width.min(buf.len() - *fp);
-    for i in 0..width {
-        buf[i] = buf[*fp + i].clone();
-    }
-    metrics.slots_copied += width as u64;
-    *fp = 0;
-    deep.clone().expect("at least the base frame migrated")
 }
 
 impl<S: StackSlot> Drop for HeapFrame<S> {
@@ -211,6 +198,95 @@ impl<S: StackSlot> fmt::Debug for HeapFrame<S> {
             .field("slots", &self.slots.borrow().len())
             .field("linked", &self.link.is_some())
             .finish()
+    }
+}
+
+/// A flat stack over a heap-frame chain: the hybrid and incremental
+/// models' machine while they run on the stack. The base word either is
+/// the exit routine or returns into `deep`, the chain beneath the stack's
+/// bottom frame.
+#[derive(Debug)]
+pub(crate) struct OverHeap<S: StackSlot> {
+    pub(crate) flat: Flat<S>,
+    pub(crate) deep: Option<Rc<HeapFrame<S>>>,
+}
+
+impl<S: StackSlot> OverHeap<S> {
+    pub(crate) fn new(cfg: Config, code: Rc<dyn FrameSizeTable>) -> Self {
+        OverHeap { flat: Flat::new(cfg, code), deep: None }
+    }
+
+    /// Moves every stack frame below the live frame into the heap, on top
+    /// of `deep`, then slides the first `width` slots of the live frame
+    /// down to the stack base. The new head of `deep`, the live frame's
+    /// caller, is also the result. The walker finds the frames; they are
+    /// *moved*, never copied back, which is the one-copy-only property of
+    /// the hybrid model (§6).
+    pub(crate) fn migrate_below(&mut self, width: usize) -> Rc<HeapFrame<S>> {
+        let flat = &mut self.flat;
+        let frames: Vec<_> = flat.walk().collect();
+        for f in frames.iter().rev() {
+            flat.metrics.heap_frames_allocated += 1;
+            flat.metrics.heap_slots_allocated += f.size() as u64;
+            flat.metrics.slots_copied += f.size() as u64;
+            self.deep = Some(HeapFrame::new(self.deep.take(), flat.buf[f.base..f.top].to_vec()));
+        }
+        flat.slide(width);
+        self.deep.clone().expect("at least the base frame migrated")
+    }
+
+    /// A call from a stack frame. An overflow migrates everything below the
+    /// live frame into the heap and slides the live frame, with the staged
+    /// partial frame, down to the base.
+    pub(crate) fn call(
+        &mut self,
+        d: usize,
+        ra: CodeAddr,
+        nargs: usize,
+        check: bool,
+    ) -> Result<(), StackError> {
+        self.flat.count_call(d, nargs)?;
+        if self.flat.overflows(d, check) && self.flat.fp > 0 {
+            self.migrate_below(d + 1 + nargs);
+        }
+        self.flat.push(d, ra);
+        Ok(())
+    }
+
+    /// Captures from a stack frame: the frames below the live frame migrate
+    /// into the heap, where they stay, and the continuation is the chain
+    /// they head. Once they have, capture is O(1) until new stack frames
+    /// accumulate.
+    pub(crate) fn capture(&mut self, strategy: &'static str) -> Continuation<S> {
+        self.flat.metrics.captures += 1;
+        let Some(ra) = self.flat.live_ra() else {
+            return Continuation::exit();
+        };
+        let frame = if self.flat.fp == 0 {
+            self.deep.clone().expect("a stack base that returns into code implies a heap chain")
+        } else {
+            // The live frame's extent is unknown without a stack pointer;
+            // one frame bound always covers it.
+            self.migrate_below(self.flat.cfg.frame_bound())
+        };
+        FrameKont::capture(strategy, frame, ra, &mut self.flat.metrics)
+    }
+
+    pub(crate) fn reset(&mut self) {
+        self.flat.reset();
+        self.deep = None;
+    }
+
+    /// Walks the stack from the live frame down, then the heap chain its
+    /// base word returns into.
+    pub(crate) fn backtrace(&self, limit: usize) -> Vec<CodeAddr> {
+        let mut out = Vec::new();
+        if let Some(ReturnAddress::Code(r)) = self.flat.walk().backtrace_into(&mut out, limit) {
+            out.push(r);
+            let room = limit - out.len();
+            out.extend(self.deep.iter().flat_map(|h| h.return_addresses()).take(room));
+        }
+        out
     }
 }
 

@@ -98,45 +98,15 @@ impl<S: StackSlot> ControlStack<S> for HeapStack<S> {
     }
 
     fn tail_call(&mut self, src: usize, nargs: usize) {
-        self.metrics.tail_calls += 1;
-        // Even a tail call allocates: the frame may be shared with a
-        // captured continuation (§2 — "the frame cannot be reused or
-        // modified").
-        let ra = self.cur.get(0);
-        self.cur = self.cur.callee(self.cur.link.clone(), ra, src, nargs, &mut self.metrics);
+        HeapFrame::tail_call(&mut self.cur, src, nargs, &mut self.metrics);
     }
 
     fn ret(&mut self) -> Result<ReturnAddress, StackError> {
-        self.metrics.returns += 1;
-        let ra =
-            self.cur.get(0).as_return_address().expect("frame slot 0 must hold a return address");
-        match ra {
-            ReturnAddress::Code(_) => {
-                // "The called procedure uses the link to restore the old
-                // frame pointer before returning" — the extra memory read
-                // of the heap model.
-                let link = self.cur.link.clone().expect("a code return address implies a caller");
-                self.cur = link;
-                HeapFrame::make_private(&mut self.cur, &mut self.metrics);
-                Ok(ra)
-            }
-            ReturnAddress::Exit => Ok(ra),
-            ReturnAddress::Underflow => unreachable!("the heap model has no underflow handler"),
-        }
+        Ok(HeapFrame::ret(&mut self.cur, &mut self.metrics))
     }
 
     fn capture(&mut self) -> Continuation<S> {
-        self.metrics.captures += 1;
-        let ra =
-            self.cur.get(0).as_return_address().expect("frame slot 0 must hold a return address");
-        match ra {
-            ReturnAddress::Code(ra) => {
-                let frame = self.cur.link.clone().expect("a code return address implies a caller");
-                FrameKont::capture(self.name(), frame, ra, &mut self.metrics)
-            }
-            ReturnAddress::Exit => Continuation::exit(),
-            ReturnAddress::Underflow => unreachable!("the heap model has no underflow handler"),
-        }
+        self.cur.capture(self.name(), &mut self.metrics)
     }
 
     fn resume(&mut self, r: Resume<'_, S>) -> Result<ReturnAddress, StackError> {

@@ -17,17 +17,7 @@ use segstack_core::{
     StackError, StackSlot, StackStats,
 };
 
-use crate::frames::{self, FrameKont, HeapFrame};
-
-/// Where execution currently lives.
-#[derive(Debug)]
-enum Mode<S: StackSlot> {
-    /// Current frame on the stack; `deep` is the heap chain beneath the
-    /// stack's bottom frame.
-    Stack { deep: Option<Rc<HeapFrame<S>>> },
-    /// Current frame in the heap (we returned into a migrated frame).
-    Heap(Rc<HeapFrame<S>>),
-}
+use crate::frames::{FrameKont, HeapFrame, OverHeap};
 
 /// Control-stack strategy with stack allocation and migrate-to-heap
 /// continuation capture (the Clinger et al. hybrid). Its continuation is the
@@ -55,76 +45,43 @@ enum Mode<S: StackSlot> {
 /// let _ = k;
 /// # Ok::<(), segstack_core::StackError>(())
 /// ```
+#[derive(Debug)]
 pub struct HybridStack<S: StackSlot> {
-    code: Rc<dyn FrameSizeTable>,
-    cfg: Config,
-    buf: Vec<S>,
-    fp: usize,
-    mode: Mode<S>,
-    metrics: Metrics,
-}
-
-impl<S: StackSlot> std::fmt::Debug for HybridStack<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HybridStack")
-            .field("fp", &self.fp)
-            .field("stack", &self.buf.len())
-            .field("mode", &self.mode)
-            .finish()
-    }
+    stack: OverHeap<S>,
+    /// Execution returned into a migrated frame, the head of the chain, and
+    /// runs there; the stack is empty.
+    in_heap: bool,
 }
 
 impl<S: StackSlot> HybridStack<S> {
     /// Creates a hybrid stack with a stack buffer of `cfg.segment_slots()`
     /// slots.
     pub fn new(cfg: Config, code: Rc<dyn FrameSizeTable>) -> Self {
-        let mut buf: Vec<S> = std::iter::repeat_with(S::empty).take(cfg.segment_slots()).collect();
-        buf[0] = S::from_return_address(ReturnAddress::Exit);
-        HybridStack {
-            code,
-            cfg,
-            buf,
-            fp: 0,
-            mode: Mode::Stack { deep: None },
-            metrics: Metrics::new(),
-        }
+        HybridStack { stack: OverHeap::new(cfg, code), in_heap: false }
     }
 
     /// Returns `true` when the current frame lives in the heap (execution
     /// returned into a migrated frame).
     pub fn in_heap(&self) -> bool {
-        matches!(self.mode, Mode::Heap(_))
+        self.in_heap
     }
 
-    fn esp(&self) -> usize {
-        self.buf.len() - self.cfg.esp_reserve()
+    /// The head of the heap chain, the frame execution runs in while
+    /// [`in_heap`](HybridStack::in_heap), and the counters.
+    fn head(&mut self) -> (&mut Rc<HeapFrame<S>>, &mut Metrics) {
+        let OverHeap { flat, deep } = &mut self.stack;
+        (deep.as_mut().expect("a heap frame to run in"), &mut flat.metrics)
     }
 
-    /// Migrates every stack frame below `fp` into the heap chain beneath
-    /// the stack, slides `width` slots of the live frame to the base, and
-    /// returns the chain's new head (the live frame's caller).
-    fn migrate_below(&mut self, width: usize) -> Rc<HeapFrame<S>> {
-        let Mode::Stack { deep } = &mut self.mode else {
-            unreachable!("migration only happens in stack mode")
-        };
-        frames::migrate_below(
-            &mut self.buf,
-            &mut self.fp,
-            width,
-            &*self.code,
-            deep,
-            &mut self.metrics,
-        )
-    }
-
-    /// Runs in the heap frame `h`, cloned first if a captured continuation
-    /// still references it once the current mode is gone (frames in the
-    /// heap list are immutable once shared, §6).
-    fn run_in_heap(&mut self, h: Rc<HeapFrame<S>>) {
-        self.mode = Mode::Heap(h);
-        if let Mode::Heap(h) = &mut self.mode {
-            HeapFrame::make_private(h, &mut self.metrics);
-        }
+    /// Runs in the head of the chain, cloned first if a captured
+    /// continuation still references it (frames in the heap list are
+    /// immutable once shared, §6). Whatever it replaced must already be
+    /// gone, or the clone would be made for a reference about to drop.
+    fn run_in_head(&mut self) {
+        self.in_heap = true;
+        self.stack.flat.fp = 0;
+        let (head, metrics) = self.head();
+        HeapFrame::make_private(head, metrics);
     }
 }
 
@@ -134,16 +91,16 @@ impl<S: StackSlot> ControlStack<S> for HybridStack<S> {
     }
 
     fn get(&self, i: usize) -> S {
-        match &self.mode {
-            Mode::Stack { .. } => self.buf[self.fp + i].clone(),
-            Mode::Heap(h) => h.get(i),
+        match &self.stack.deep {
+            Some(h) if self.in_heap => h.get(i),
+            _ => self.stack.flat.get(i),
         }
     }
 
     fn set(&mut self, i: usize, v: S) {
-        match &self.mode {
-            Mode::Stack { .. } => self.buf[self.fp + i] = v,
-            Mode::Heap(h) => h.set(i, v),
+        match &self.stack.deep {
+            Some(h) if self.in_heap => h.set(i, v),
+            _ => self.stack.flat.set(i, v),
         }
     }
 
@@ -154,143 +111,61 @@ impl<S: StackSlot> ControlStack<S> for HybridStack<S> {
         nargs: usize,
         check: bool,
     ) -> Result<(), StackError> {
-        debug_assert!(d >= 1);
-        self.metrics.calls += 1;
-        self.cfg.check_frame(d, nargs)?;
-        match &self.mode {
-            Mode::Heap(h) => {
-                // Push the callee at the stack base; the heap frame becomes
-                // the chain beneath the stack.
-                let h = h.clone();
-                self.buf[0] = S::from_return_address(ReturnAddress::Code(ra));
-                for j in 0..nargs {
-                    self.buf[1 + j] = h.get(d + 1 + j);
-                }
-                self.metrics.slots_copied += nargs as u64;
-                self.fp = 0;
-                self.mode = Mode::Stack { deep: Some(h) };
-                Ok(())
-            }
-            Mode::Stack { .. } => {
-                if check {
-                    self.metrics.checks_executed += 1;
-                    if self.fp + d > self.esp() {
-                        // Stack overflow: migrate everything below the live
-                        // frame into the heap and slide the live frame (and
-                        // the staged partial frame) to the base.
-                        self.metrics.overflows += 1;
-                        if self.fp > 0 {
-                            self.migrate_below(d + 1 + nargs);
-                        }
-                    }
-                } else {
-                    self.metrics.checks_elided += 1;
-                }
-                self.fp += d;
-                self.buf[self.fp] = S::from_return_address(ReturnAddress::Code(ra));
-                Ok(())
-            }
+        if !self.in_heap {
+            return self.stack.call(d, ra, nargs, check);
         }
+        // Push the callee at the stack base; the heap frame stays the head
+        // of the chain beneath the stack. An empty stack cannot overflow,
+        // but the call site's check is counted all the same.
+        let OverHeap { flat, deep } = &mut self.stack;
+        flat.count_call(d, nargs)?;
+        flat.count_check(check);
+        let h = deep.as_ref().expect("a heap frame to run in");
+        flat.buf[0] = S::from_return_address(ReturnAddress::Code(ra));
+        for j in 0..nargs {
+            flat.buf[1 + j] = h.get(d + 1 + j);
+        }
+        flat.metrics.slots_copied += nargs as u64;
+        self.in_heap = false;
+        Ok(())
     }
 
     fn tail_call(&mut self, src: usize, nargs: usize) {
-        debug_assert!(src >= 1);
-        self.metrics.tail_calls += 1;
-        match &self.mode {
-            Mode::Stack { .. } => {
-                // Stack frames are private: reuse in place (the hybrid
-                // model's advantage over the pure heap model).
-                for j in 0..nargs {
-                    self.buf[self.fp + 1 + j] = self.buf[self.fp + src + j].clone();
-                }
-            }
-            Mode::Heap(h) => {
-                // Heap frames may be shared with captured continuations and
-                // can never be reused.
-                let callee = h.callee(h.link.clone(), h.get(0), src, nargs, &mut self.metrics);
-                self.mode = Mode::Heap(callee);
-            }
+        if self.in_heap {
+            let (head, metrics) = self.head();
+            HeapFrame::tail_call(head, src, nargs, metrics);
+        } else {
+            // Stack frames are private: reuse in place (the hybrid model's
+            // advantage over the pure heap model).
+            self.stack.flat.tail_call(src, nargs);
         }
     }
 
     fn ret(&mut self) -> Result<ReturnAddress, StackError> {
-        self.metrics.returns += 1;
         // Every return pays the "stack or heap?" check — the small extra
         // return cost the paper attributes to this model (§6).
-        match &self.mode {
-            Mode::Stack { deep } => {
-                let ra = self.buf[self.fp]
-                    .as_return_address()
-                    .expect("frame base must hold a return address");
-                match ra {
-                    ReturnAddress::Code(r) => {
-                        if self.fp == 0 {
-                            // Returning off the stack into the heap chain.
-                            let h =
-                                deep.clone().expect("stack base with code ra implies a heap chain");
-                            self.run_in_heap(h);
-                        } else {
-                            self.fp -= self.code.displacement(r);
-                        }
-                        Ok(ra)
-                    }
-                    ReturnAddress::Exit => Ok(ra),
-                    ReturnAddress::Underflow => {
-                        unreachable!("the hybrid model has no underflow handler")
-                    }
-                }
-            }
-            Mode::Heap(h) => {
-                let ra =
-                    h.get(0).as_return_address().expect("frame slot 0 must hold a return address");
-                match ra {
-                    ReturnAddress::Code(_) => {
-                        let link = h.link.clone().expect("a code return address implies a caller");
-                        self.run_in_heap(link);
-                        Ok(ra)
-                    }
-                    ReturnAddress::Exit => Ok(ra),
-                    ReturnAddress::Underflow => {
-                        unreachable!("the hybrid model has no underflow handler")
-                    }
-                }
-            }
+        if self.in_heap {
+            let (head, metrics) = self.head();
+            return Ok(HeapFrame::ret(head, metrics));
         }
+        if let Some(ra) = self.stack.flat.ret() {
+            return Ok(ra);
+        }
+        // Returning off the stack base: into the heap chain, or to the exit.
+        let ra = self.stack.flat.top_ra();
+        if ra.is_code() {
+            self.run_in_head();
+        }
+        Ok(ra)
     }
 
     fn capture(&mut self) -> Continuation<S> {
-        self.metrics.captures += 1;
-        match &self.mode {
-            Mode::Heap(h) => {
-                let ra =
-                    h.get(0).as_return_address().expect("frame slot 0 must hold a return address");
-                match ra {
-                    ReturnAddress::Code(ra) => {
-                        let frame = h.link.clone().expect("a code return address implies a caller");
-                        FrameKont::capture(self.name(), frame, ra, &mut self.metrics)
-                    }
-                    _ => Continuation::exit(),
-                }
-            }
-            Mode::Stack { deep } => {
-                let ra = self.buf[self.fp]
-                    .as_return_address()
-                    .expect("frame base must hold a return address");
-                let ReturnAddress::Code(live_ra) = ra else {
-                    // Live frame at the stack base: the continuation is the
-                    // existing heap chain (or exit) — O(1), no migration.
-                    return Continuation::exit();
-                };
-                let frame = if self.fp == 0 {
-                    deep.clone().expect("stack base with code ra implies a heap chain")
-                } else {
-                    // Migrate the frames below the live frame into the heap;
-                    // they are never copied back.
-                    self.migrate_below(self.cfg.frame_bound())
-                };
-                FrameKont::capture(self.name(), frame, live_ra, &mut self.metrics)
-            }
+        let name = self.name();
+        if !self.in_heap {
+            return self.stack.capture(name);
         }
+        let (head, metrics) = self.head();
+        head.capture(name, metrics)
     }
 
     fn resume(&mut self, r: Resume<'_, S>) -> Result<ReturnAddress, StackError> {
@@ -301,48 +176,36 @@ impl<S: StackSlot> ControlStack<S> for HybridStack<S> {
         // Execution resumes *in* the heap frame; nothing is copied back to
         // the *stack*, though a shared frame is cloned within the heap so
         // the continuation can be re-entered again.
-        self.run_in_heap(kont.frame.clone());
+        self.stack.deep = Some(kont.frame.clone());
+        self.run_in_head();
         Ok(ReturnAddress::Code(kont.ra))
     }
 
     fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.stack.flat.metrics
     }
 
     fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+        &mut self.stack.flat.metrics
     }
 
     fn stats(&self) -> StackStats {
-        let chain = match &self.mode {
-            Mode::Stack { deep } => deep,
-            Mode::Heap(h) => &h.link,
+        let chain = match &self.stack.deep {
+            Some(h) if self.in_heap => h.link.as_deref(),
+            deep => deep.as_deref(),
         };
-        let (chain_records, chain_slots) = chain.as_ref().map_or((0, 0), |f| f.footprint());
-        let (used, free) = match &self.mode {
-            Mode::Stack { .. } => (self.fp, self.esp().saturating_sub(self.fp)),
-            Mode::Heap(_) => (0, self.esp()),
-        };
-        StackStats {
-            chain_records,
-            chain_slots,
-            current_used_slots: used,
-            current_free_slots: free,
-        }
+        self.stack.flat.stats(chain.map_or((0, 0), HeapFrame::footprint))
     }
 
     fn reset(&mut self) {
-        self.fp = 0;
-        self.buf[0] = S::from_return_address(ReturnAddress::Exit);
-        self.mode = Mode::Stack { deep: None };
+        self.stack.reset();
+        self.in_heap = false;
     }
 
     fn backtrace(&self, limit: usize) -> Vec<CodeAddr> {
-        match &self.mode {
-            Mode::Stack { deep } => {
-                frames::stack_backtrace(&self.buf, self.fp, &*self.code, deep.as_deref(), limit)
-            }
-            Mode::Heap(h) => h.return_addresses().take(limit).collect(),
+        match &self.stack.deep {
+            Some(h) if self.in_heap => h.return_addresses().take(limit).collect(),
+            _ => self.stack.backtrace(limit),
         }
     }
 }

@@ -17,7 +17,7 @@ use segstack_core::{
     StackError, StackSlot, StackStats,
 };
 
-use crate::frames::{self, FrameKont, HeapFrame};
+use crate::frames::{FrameKont, HeapFrame, OverHeap};
 
 /// Control-stack strategy with migrate-on-capture and copy-one-frame-back
 /// on underflow (Clinger et al.'s "incremental stack/heap"). Its
@@ -43,65 +43,25 @@ use crate::frames::{self, FrameKont, HeapFrame};
 /// let _ = k;
 /// # Ok::<(), segstack_core::StackError>(())
 /// ```
+#[derive(Debug)]
 pub struct IncrementalStack<S: StackSlot> {
-    code: Rc<dyn FrameSizeTable>,
-    cfg: Config,
-    buf: Vec<S>,
-    fp: usize,
-    /// Heap chain beneath the stack's bottom frame.
-    deep: Option<Rc<HeapFrame<S>>>,
-    metrics: Metrics,
-}
-
-impl<S: StackSlot> std::fmt::Debug for IncrementalStack<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IncrementalStack")
-            .field("fp", &self.fp)
-            .field("stack", &self.buf.len())
-            .field("deep", &self.deep.is_some())
-            .finish()
-    }
+    stack: OverHeap<S>,
 }
 
 impl<S: StackSlot> IncrementalStack<S> {
     /// Creates an incremental stack/heap strategy with a stack buffer of
     /// `cfg.segment_slots()` slots.
     pub fn new(cfg: Config, code: Rc<dyn FrameSizeTable>) -> Self {
-        let mut buf: Vec<S> = std::iter::repeat_with(S::empty).take(cfg.segment_slots()).collect();
-        buf[0] = S::from_return_address(ReturnAddress::Exit);
-        IncrementalStack { code, cfg, buf, fp: 0, deep: None, metrics: Metrics::new() }
-    }
-
-    fn esp(&self) -> usize {
-        self.buf.len() - self.cfg.esp_reserve()
-    }
-
-    /// Migrates every stack frame below `fp` into the heap chain beneath
-    /// the stack, slides `width` slots of the live frame to the base, and
-    /// returns the chain's new head.
-    fn migrate_below(&mut self, width: usize) -> Rc<HeapFrame<S>> {
-        frames::migrate_below(
-            &mut self.buf,
-            &mut self.fp,
-            width,
-            &*self.code,
-            &mut self.deep,
-            &mut self.metrics,
-        )
+        IncrementalStack { stack: OverHeap::new(cfg, code) }
     }
 
     /// Copies heap frame `h` onto the stack base and makes it current: the
     /// defining "incremental" move. The heap original stays frozen for any
     /// continuations that share it.
-    fn install_at_base(&mut self, h: &Rc<HeapFrame<S>>) {
-        let slots = h.slots.borrow();
-        debug_assert!(slots.len() <= self.esp() + self.cfg.esp_reserve());
-        for (i, s) in slots.iter().enumerate() {
-            self.buf[i] = s.clone();
-        }
-        self.metrics.slots_copied += slots.len() as u64;
-        self.fp = 0;
-        self.deep = h.link.clone();
+    fn install_at_base(&mut self, h: &HeapFrame<S>) {
+        self.stack.flat.load(&h.slots.borrow());
+        self.stack.flat.fp = 0;
+        self.stack.deep = h.link.clone();
     }
 }
 
@@ -111,11 +71,11 @@ impl<S: StackSlot> ControlStack<S> for IncrementalStack<S> {
     }
 
     fn get(&self, i: usize) -> S {
-        self.buf[self.fp + i].clone()
+        self.stack.flat.get(i)
     }
 
     fn set(&mut self, i: usize, v: S) {
-        self.buf[self.fp + i] = v;
+        self.stack.flat.set(i, v);
     }
 
     fn call(
@@ -125,79 +85,30 @@ impl<S: StackSlot> ControlStack<S> for IncrementalStack<S> {
         nargs: usize,
         check: bool,
     ) -> Result<(), StackError> {
-        debug_assert!(d >= 1);
-        self.metrics.calls += 1;
-        self.cfg.check_frame(d, nargs)?;
-        if check {
-            self.metrics.checks_executed += 1;
-            if self.fp + d > self.esp() {
-                // Stack overflow: migrate everything below the live frame,
-                // slide the live frame (plus staged partial frame) down.
-                self.metrics.overflows += 1;
-                if self.fp > 0 {
-                    self.migrate_below(d + 1 + nargs);
-                }
-            }
-        } else {
-            self.metrics.checks_elided += 1;
-        }
-        self.fp += d;
-        self.buf[self.fp] = S::from_return_address(ReturnAddress::Code(ra));
-        Ok(())
+        self.stack.call(d, ra, nargs, check)
     }
 
     fn tail_call(&mut self, src: usize, nargs: usize) {
-        debug_assert!(src >= 1);
-        self.metrics.tail_calls += 1;
-        // Stack frames are private: reuse in place.
-        for j in 0..nargs {
-            self.buf[self.fp + 1 + j] = self.buf[self.fp + src + j].clone();
-        }
+        self.stack.flat.tail_call(src, nargs);
     }
 
     fn ret(&mut self) -> Result<ReturnAddress, StackError> {
-        self.metrics.returns += 1;
-        let ra =
-            self.buf[self.fp].as_return_address().expect("frame base must hold a return address");
-        match ra {
-            ReturnAddress::Code(r) => {
-                if self.fp == 0 {
-                    // Returning off the stack base: copy the next heap
-                    // frame back onto the stack — the incremental step.
-                    let h = self
-                        .deep
-                        .clone()
-                        .expect("stack base with a code return address implies a heap chain");
-                    self.metrics.underflows += 1;
-                    self.install_at_base(&h);
-                } else {
-                    self.fp -= self.code.displacement(r);
-                }
-                Ok(ra)
-            }
-            ReturnAddress::Exit => Ok(ra),
-            ReturnAddress::Underflow => {
-                unreachable!("the incremental model stores real return addresses at the base")
-            }
+        if let Some(ra) = self.stack.flat.ret() {
+            return Ok(ra);
         }
+        let ra = self.stack.flat.top_ra();
+        if ra.is_code() {
+            // Returning off the stack base: copy the next heap frame back
+            // onto the stack — the incremental step.
+            let h = self.stack.deep.clone().expect("a stack base returning into code has a chain");
+            self.stack.flat.metrics.underflows += 1;
+            self.install_at_base(&h);
+        }
+        Ok(ra)
     }
 
     fn capture(&mut self) -> Continuation<S> {
-        self.metrics.captures += 1;
-        let ra =
-            self.buf[self.fp].as_return_address().expect("frame base must hold a return address");
-        let ReturnAddress::Code(live_ra) = ra else {
-            return Continuation::exit();
-        };
-        let frame = if self.fp == 0 {
-            // The caller chain is already fully in the heap: O(1) capture.
-            self.deep.clone().expect("code ra at base implies a chain")
-        } else {
-            // The live frame's extent is unknown without a stack pointer;
-            // one frame bound always covers it.
-            self.migrate_below(self.cfg.frame_bound())
-        };
-        FrameKont::capture(self.name(), frame, live_ra, &mut self.metrics)
+        self.stack.capture(self.name())
     }
 
     fn resume(&mut self, r: Resume<'_, S>) -> Result<ReturnAddress, StackError> {
@@ -212,31 +123,23 @@ impl<S: StackSlot> ControlStack<S> for IncrementalStack<S> {
     }
 
     fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.stack.flat.metrics
     }
 
     fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+        &mut self.stack.flat.metrics
     }
 
     fn stats(&self) -> StackStats {
-        let (chain_records, chain_slots) = self.deep.as_ref().map_or((0, 0), |f| f.footprint());
-        StackStats {
-            chain_records,
-            chain_slots,
-            current_used_slots: self.fp,
-            current_free_slots: self.esp().saturating_sub(self.fp),
-        }
+        self.stack.flat.stats(self.stack.deep.as_deref().map_or((0, 0), HeapFrame::footprint))
     }
 
     fn reset(&mut self) {
-        self.fp = 0;
-        self.buf[0] = S::from_return_address(ReturnAddress::Exit);
-        self.deep = None;
+        self.stack.reset();
     }
 
     fn backtrace(&self, limit: usize) -> Vec<CodeAddr> {
-        frames::stack_backtrace(&self.buf, self.fp, &*self.code, self.deep.as_deref(), limit)
+        self.stack.backtrace(limit)
     }
 }
 

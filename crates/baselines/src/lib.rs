@@ -15,12 +15,38 @@
 //! All implement [`segstack_core::ControlStack`], so they are drop-in
 //! replacements for [`segstack_core::SegmentedStack`] under the same VM —
 //! which is how every experiment in this workspace compares them.
+//!
+//! The models share their machinery and keep only the rule that makes each
+//! one that model:
+//!
+//! - `Flat` (flat.rs) is the one contiguous stack under copy, cache, hybrid
+//!   and incremental: the exit word at the base, the push, the pop through
+//!   the frame-size word (§3, Figure 4), check counting, the tail-call move,
+//!   reset and stats.
+//! - `ImageKont` (flat.rs) is the one saved stack image. The copy model
+//!   grows its stack instead of overflowing, and saves and restores the
+//!   whole stack with no link. The cache model flushes a block, linked to
+//!   the block below, on overflow and on capture, and refills on underflow.
+//! - `HeapFrame` and `FrameKont` (frames.rs) are the heap, hybrid and
+//!   incremental models' one activation record and one continuation record.
+//!   The heap model, and the hybrid model while it runs in the heap, tail
+//!   call, return and capture through the same `HeapFrame` functions.
+//! - `OverHeap` (frames.rs) is a `Flat` over a heap-frame chain: overflow
+//!   and capture migrate the frames below the live one into the chain, and
+//!   the backtrace walks the stack and then the chain. The hybrid model
+//!   adds returning into heap frames and running there, never copying them
+//!   back; the incremental model copies one frame back per return off the
+//!   stack base.
+//!
+//! Continuations are told apart by the name of the strategy that captured
+//! them, so each model reinstates only its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;
 mod copy;
+mod flat;
 mod frames;
 mod heap;
 mod hybrid;
@@ -254,8 +280,9 @@ mod tests {
     }
 
     /// A continuation reinstates only on the strategy that captured it.
-    /// The heap, hybrid and incremental models share one record type, so
-    /// this is what tells their continuations apart.
+    /// The heap, hybrid and incremental models share one record type, and
+    /// so do copy and cache, so this is what tells their continuations
+    /// apart.
     #[test]
     fn every_strategy_rejects_the_others_continuations() {
         let code = Rc::new(TestCode::new());
@@ -272,6 +299,78 @@ mod tests {
                     "{from} → {to}"
                 );
             }
+        }
+    }
+
+    /// Every call on a stack strategy executes or elides one overflow
+    /// check, wherever its caller's frame lives: here hybrid calls from a
+    /// heap frame. The heap model counts none, since it cannot overflow.
+    #[test]
+    fn every_stack_strategy_counts_one_check_per_call() {
+        for s in Strategy::ALL.into_iter().filter(|&s| s != Strategy::Heap) {
+            let code = Rc::new(TestCode::new());
+            let cfg = Config::builder().segment_slots(512).frame_bound(16).build().unwrap();
+            let mut stack: Box<dyn ControlStack<TestSlot>> = s.build(cfg, code.clone()).unwrap();
+            sim::push_frames(&mut *stack, &code, 5, 4);
+            let _k = stack.capture();
+            stack.ret().unwrap();
+            stack.call(4, code.ret_point(4), 1, true).unwrap();
+            let m = stack.metrics();
+            assert_eq!((m.calls, m.checks_executed, m.checks_elided), (6, 6, 0), "{s}");
+        }
+    }
+
+    /// `StackStats` as (chain records, chain slots, used, free) after 80
+    /// frames of 4 on a 256-slot stack, a capture, three returns and a
+    /// call, on every strategy.
+    #[test]
+    fn every_strategy_reports_its_stack_stats() {
+        const MAX: usize = usize::MAX;
+        let want = [
+            (
+                Strategy::Segmented,
+                [(1, 228, 92, 132), (2, 320, 0, 132), (1, 228, 80, 52), (1, 228, 84, 48)],
+            ),
+            (
+                Strategy::Heap,
+                [(80, 480, 2, MAX), (80, 480, 2, MAX), (77, 462, 6, MAX), (78, 468, 2, MAX)],
+            ),
+            (
+                Strategy::Copy,
+                [(0, 0, 320, 160), (0, 0, 320, 160), (0, 0, 308, 172), (0, 0, 312, 168)],
+            ),
+            (
+                Strategy::Cache,
+                [(1, 228, 92, 132), (2, 320, 0, 224), (1, 228, 80, 144), (1, 228, 84, 140)],
+            ),
+            (
+                Strategy::Hybrid,
+                [(56, 224, 96, 128), (80, 320, 0, 224), (77, 308, 0, 224), (78, 314, 0, 224)],
+            ),
+            (
+                Strategy::Incremental,
+                [(56, 224, 96, 128), (80, 320, 0, 224), (77, 308, 0, 224), (77, 308, 4, 220)],
+            ),
+        ];
+        for (s, want) in want {
+            let code = Rc::new(TestCode::new());
+            let cfg = Config::builder().segment_slots(256).frame_bound(16).build().unwrap();
+            let mut stack: Box<dyn ControlStack<TestSlot>> = s.build(cfg, code.clone()).unwrap();
+            let snap = |stack: &dyn ControlStack<TestSlot>| {
+                let st = stack.stats();
+                (st.chain_records, st.chain_slots, st.current_used_slots, st.current_free_slots)
+            };
+            sim::push_frames(&mut *stack, &code, 80, 4);
+            let pushed = snap(&*stack);
+            let _k = stack.capture();
+            let captured = snap(&*stack);
+            for _ in 0..3 {
+                stack.ret().unwrap();
+            }
+            let returned = snap(&*stack);
+            stack.set(5, TestSlot::Int(99));
+            stack.call(4, code.ret_point(4), 1, true).unwrap();
+            assert_eq!([pushed, captured, returned, snap(&*stack)], want, "{s}");
         }
     }
 

@@ -193,7 +193,10 @@ pub fn drain(stack: &mut dyn ControlStack<TestSlot>) -> Vec<ReturnAddress> {
 }
 
 /// Runs the trace on one strategy. A panic anywhere inside the machine is
-/// reported as an error naming the op that triggered it.
+/// reported as an error naming the op that triggered it. A stack strategy
+/// must also have counted one overflow check, executed or elided, per call,
+/// or the run is an error; the heap model, which cannot overflow, counts
+/// none.
 pub fn run_strategy(
     spec: &TraceSpec,
     compiled: &CompiledTrace,
@@ -214,16 +217,26 @@ pub fn run_strategy(
         at_op.set(usize::MAX - 1);
         let drained = drain(&mut *stack);
         let m = stack.metrics();
-        RunLog { obs, drain: drained, counters: [m.calls, m.tail_calls, m.returns, m.captures] }
+        let log = RunLog {
+            obs,
+            drain: drained,
+            counters: [m.calls, m.tail_calls, m.returns, m.captures],
+        };
+        (log, m.checks_executed + m.checks_elided)
     }));
-    result.map_err(|e| {
+    let (log, checks) = result.map_err(|e| {
         let msg = panic_text(&e);
         match at_op.get() {
             usize::MAX => format!("{strategy}: panicked during setup: {msg}"),
             i if i == usize::MAX - 1 => format!("{strategy}: panicked during drain: {msg}"),
             i => format!("{strategy}: panicked at op [{i}] {:?}: {msg}", spec.ops[i]),
         }
-    })
+    })?;
+    let calls = log.counters[0];
+    if strategy != Strategy::Heap && checks != calls {
+        return Err(format!("{strategy}: {checks} overflow checks counted for {calls} calls"));
+    }
+    Ok(log)
 }
 
 /// Runs the trace on the reference oracle.
